@@ -4,32 +4,32 @@
 /// many instances of one compiled process over identical random traces:
 ///
 ///   * scalar    — one VmExecutor per instance, run sequentially (the
-///                 baseline the fleet sweep must beat),
-///   * fleet tT  — the FleetExecutor's SoA lane-block sweep, sharded
-///                 over T worker threads (T = 1, 4 and the hardware
-///                 concurrency; T=1 isolates the SoA/lane-sweep gain,
-///                 the others add parallel scaling),
-///   * cemit     — the `<proc>_step_fleet` entry point emitted from the
-///                 same bytecode, compiled by the host C compiler and
-///                 timed in a subprocess (skipped when no compiler is
-///                 found).
+///                 baseline),
+///   * fleet tT  — the FleetExecutor's VM lanes, sharded over T worker
+///                 threads (T = 1, 4 and the hardware concurrency; T=1
+///                 measures what the lane bookkeeping costs over the
+///                 scalar loop, the others add parallel scaling),
+///   * native    — the same lanes on one thread through setNative: the
+///                 bytecode compiled to a shared object by the host C
+///                 compiler, each lane stepped by its `sigc_native_run`
+///                 (skipped when no compiler is found).
 ///
 /// Workloads: the Figure-5 alarm and divider chains at dense and sparse
 /// root activity — the same shapes bench_step times scalar engines on,
 /// so the two reports compose.
 ///
 /// Usage: bench_fleet [--json FILE] [--instants K] [--instances M]
-///        [--no-cemit]
 /// CI uploads the JSON output as BENCH_fleet.json.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "codegen/CEmitter.h"
 #include "driver/Driver.h"
 #include "interp/FleetExecutor.h"
 #include "interp/VmExecutor.h"
+#include "native/CcRunner.h"
+#include "native/NativeCache.h"
+#include "native/StepHash.h"
 #include "programs/Programs.h"
-#include "testing/Oracle.h"
 
 #include <chrono>
 #include <cstdio>
@@ -65,7 +65,7 @@ struct Row {
   double ScalarPerSec = 0;
   double FleetT1PerSec = 0, FleetT4PerSec = 0, FleetTMaxPerSec = 0;
   unsigned MaxThreads = 1;
-  double CEmitPerSec = 0; ///< 0 when the cemit leg did not run.
+  double NativePerSec = 0; ///< 0 when the native leg did not run.
 };
 
 /// A fleet of per-instance discard environments (instance j seeded
@@ -99,15 +99,18 @@ double scalarThroughput(const CompiledStep &CS, unsigned Instances,
   return S > 0 ? static_cast<double>(Instances) * Instants / S : 0;
 }
 
-/// The fleet sweep at a given shard-thread count.
+/// The fleet's lanes at a given shard-thread count, on \p Native's step
+/// when it is set.
 double fleetThroughput(const CompiledStep &CS, unsigned Instances,
                        unsigned TickPermille, unsigned Instants,
-                       unsigned LaneBlock, unsigned Threads) {
+                       unsigned LaneBlock, unsigned Threads,
+                       const NativeModule *Native = nullptr) {
   EnvFleet F(Instances, 42, TickPermille);
   FleetExecutor::Config Cfg;
   Cfg.LaneBlock = LaneBlock;
   Cfg.Threads = Threads;
   FleetExecutor Exec(CS, Instances, Cfg);
+  Exec.setNative(Native);
   Exec.run(F.Envs, Instants / 8 + 1); // Bind + warm.
   Exec.reset();
   auto T0 = std::chrono::steady_clock::now();
@@ -116,98 +119,32 @@ double fleetThroughput(const CompiledStep &CS, unsigned Instances,
   return S > 0 ? static_cast<double>(Instances) * Instants / S : 0;
 }
 
-/// Emits the program's C, appends a self-timing main pushing a cyclic
-/// window of pre-generated per-instance inputs through
-/// <proc>_step_fleet, compiles with the host cc and runs it;
-/// \returns instance-instants/sec, 0 on any failure.
-double cemitFleetThroughput(const Compilation &C, unsigned Instances,
-                            unsigned TickPermille, unsigned Instants) {
-  if (hostCCompilerCommand().empty())
+/// Compiles \p CS to a shared object in a throwaway cache directory and
+/// times the native lanes on one thread; \returns instance-instants/sec,
+/// 0 on any failure.
+double nativeThroughput(const CompiledStep &CS, unsigned Instances,
+                        unsigned TickPermille, unsigned Instants,
+                        unsigned LaneBlock) {
+  char Dir[] = "/tmp/sigc-benchfleet-XXXXXX";
+  if (!mkdtemp(Dir))
     return 0;
-
-  const unsigned Window = 64;
-  unsigned long long Total =
-      static_cast<unsigned long long>(Instants) * Instances;
-  if (Total < (1ull << 22))
-    Total = 1ull << 22;
-  unsigned long long Reps = Total / (static_cast<unsigned long long>(
-                                         Instances) * Window) + 1;
-
-  std::string MS = std::to_string(Instances), WS = std::to_string(Window);
-  std::string Src = emitC(C.Compiled, "bp", CEmitOptions());
-  std::string M;
-  M += "\n#include <stdio.h>\n#include <time.h>\n";
-  M += "static unsigned long rng_state = 0x2545F491UL;\n";
-  M += "static unsigned long rng(void) {\n";
-  M += "  rng_state = rng_state * 6364136223846793005UL + "
-       "1442695040888963407UL;\n";
-  M += "  return rng_state >> 33;\n}\n";
-  M += "static bp_in_t in_v[" + MS + " * " + WS + "];\n";
-  M += "static bp_out_t out_v[" + MS + " * " + WS + "];\n";
-  M += "static bp_state_t st_v[" + MS + "];\n";
-  M += "int main(void) {\n";
-  M += "  unsigned j, i;\n  unsigned long long rep;\n";
-  M += "  for (j = 0; j < " + MS + "u; ++j)\n";
-  M += "    for (i = 0; i < " + WS + "u; ++i) {\n";
-  for (const auto &CI : C.Compiled.ClockInputs)
-    M += "      in_v[j * " + WS + " + i].tick_" + sanitizeIdent(CI.Name) +
-         " = rng() % 1000 < " + std::to_string(TickPermille) + "u;\n";
-  for (const auto &SI : C.Compiled.Inputs) {
-    std::string Id = sanitizeIdent(SI.Name);
-    if (SI.Type == TypeKind::Integer)
-      M += "      in_v[j * " + WS + " + i]." + Id +
-           " = (long)(rng() % 100);\n";
-    else if (SI.Type == TypeKind::Real)
-      M += "      in_v[j * " + WS + " + i]." + Id +
-           " = (double)(rng() % 1000) / 10.0;\n";
-    else
-      M += "      in_v[j * " + WS + " + i]." + Id + " = (int)(rng() & 1);\n";
-  }
-  M += "    }\n";
-  M += "  for (j = 0; j < " + MS + "u; ++j)\n";
-  M += "    bp_init(&st_v[j]);\n";
-  M += "  clock_t t0 = clock();\n";
-  M += "  for (rep = 0; rep < " + std::to_string(Reps) + "ULL; ++rep)\n";
-  M += "    bp_step_fleet(st_v, in_v, out_v, " + MS + "u, " + WS + "u);\n";
-  M += "  double s = (double)(clock() - t0) / CLOCKS_PER_SEC;\n";
-  M += "  double n = " + std::to_string(Reps) + "ULL * " + MS + ".0 * " + WS +
-       ".0;\n";
-  M += "  /* counters keep the optimizer honest */\n";
-  M += "  fprintf(stderr, \"executed=%llu\\n\", st_v[0].executed);\n";
-  M += "  printf(\"%f\\n\", s > 0 ? n / s : 0.0);\n";
-  M += "  return 0;\n}\n";
-  Src += M;
-
-  char Template[] = "/tmp/sigc-benchfleet-XXXXXX";
-  char *Dir = mkdtemp(Template);
-  if (!Dir)
-    return 0;
-  std::string D = Dir;
-  std::string CPath = D + "/bench.c", Bin = D + "/bench";
-  {
-    std::ofstream Out(CPath);
-    Out << Src;
-  }
+  NativeCache Cache(Dir);
+  std::string Hash = hashCompiledStep(CS), Err;
   double PerSec = 0;
-  std::string Compile = hostCCompilerCommand() + " -std=c99 -O2 -o " + Bin +
-                        " " + CPath + " >/dev/null 2>&1";
-  if (std::system(Compile.c_str()) == 0) {
-    if (FILE *P = popen((Bin + " 2>/dev/null").c_str(), "r")) {
-      char Buf[128];
-      if (fgets(Buf, sizeof Buf, P))
-        PerSec = std::strtod(Buf, nullptr);
-      pclose(P);
-    }
-  }
-  for (const std::string &F : {CPath, Bin})
-    std::remove(F.c_str());
-  rmdir(D.c_str());
+  if (std::unique_ptr<NativeModule> M =
+          Cache.compileAndPublish(CS, Hash, Err))
+    PerSec = fleetThroughput(CS, Instances, TickPermille, Instants,
+                             LaneBlock, 1, M.get());
+  else
+    std::fprintf(stderr, "native build failed: %s\n", Err.c_str());
+  std::remove(Cache.soPath(Hash).c_str());
+  rmdir(Dir);
   return PerSec;
 }
 
 Row benchProgram(const std::string &Name, const std::string &Source,
                  unsigned Instances, unsigned TickPermille, unsigned Instants,
-                 bool WithCEmit) {
+                 bool WithNative) {
   auto C = compileSource("<bench:" + Name + ">", Source);
   if (!C->Ok) {
     std::fprintf(stderr, "%s: compilation failed:\n%s", Name.c_str(),
@@ -232,9 +169,9 @@ Row benchProgram(const std::string &Name, const std::string &Source,
                                     Instants, LaneBlock, 4);
   R.FleetTMaxPerSec = fleetThroughput(C->Compiled, Instances, TickPermille,
                                       Instants, LaneBlock, R.MaxThreads);
-  if (WithCEmit)
-    R.CEmitPerSec =
-        cemitFleetThroughput(*C, Instances, TickPermille, Instants);
+  if (WithNative)
+    R.NativePerSec = nativeThroughput(C->Compiled, Instances, TickPermille,
+                                      Instants, LaneBlock);
   return R;
 }
 
@@ -243,7 +180,7 @@ Row benchProgram(const std::string &Name, const std::string &Source,
 int main(int Argc, char **Argv) {
   unsigned Instants = 4096;
   unsigned Instances = 128;
-  bool WithCEmit = true;
+  bool WithNative = nativeCompileAvailable();
   std::string JsonPath;
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
@@ -253,20 +190,16 @@ int main(int Argc, char **Argv) {
       Instants = static_cast<unsigned>(std::stoul(Argv[++I]));
     else if (Arg == "--instances" && I + 1 < Argc)
       Instances = static_cast<unsigned>(std::stoul(Argv[++I]));
-    else if (Arg == "--no-cemit")
-      WithCEmit = false;
   }
-  if (WithCEmit && hostCCompilerCommand().empty()) {
-    std::fprintf(stderr, "no host C compiler: skipping the cemit leg\n");
-    WithCEmit = false;
-  }
+  if (!WithNative)
+    std::fprintf(stderr, "no host C compiler: skipping the native leg\n");
 
   std::printf("Fleet throughput (instance-instants/sec, %u instances x %u "
               "instants)\n\n",
               Instances, Instants);
   std::printf("%-14s %6s %12s %12s %12s %12s %12s %8s %8s\n", "program",
               "tick", "scalar", "fleet-t1", "fleet-t4", "fleet-tmax",
-              "cemit", "t1/scal", "tmax/t1");
+              "native", "t1/scal", "tmax/t1");
 
   std::vector<Row> Rows;
   auto Report = [&](const Row &R) {
@@ -274,7 +207,7 @@ int main(int Argc, char **Argv) {
                 "%7.2fx\n",
                 R.Name.c_str(), R.TickPermille, R.ScalarPerSec,
                 R.FleetT1PerSec, R.FleetT4PerSec, R.FleetTMaxPerSec,
-                R.CEmitPerSec,
+                R.NativePerSec,
                 R.ScalarPerSec > 0 ? R.FleetT1PerSec / R.ScalarPerSec : 0,
                 R.FleetT1PerSec > 0 ? R.FleetTMaxPerSec / R.FleetT1PerSec
                                     : 0);
@@ -282,14 +215,14 @@ int main(int Argc, char **Argv) {
   };
 
   Report(benchProgram("FIG5_ALARM", alarmFigure5Source(), Instances, 800,
-                      Instants, WithCEmit));
+                      Instants, WithNative));
   for (unsigned Stages : {16u, 48u})
     for (unsigned Permille : {1000u, 250u}) {
       ProgramShape Shape;
       Shape.DividerStages = Stages;
       Report(benchProgram("chain" + std::to_string(Stages),
                           generateProgram("CHAIN", Shape), Instances,
-                          Permille, Instants, WithCEmit));
+                          Permille, Instants, WithNative));
     }
 
   if (!JsonPath.empty()) {
@@ -305,15 +238,15 @@ int main(int Argc, char **Argv) {
           << "\"fleet_vm_t4_ii_per_sec\": " << R.FleetT4PerSec << ", "
           << "\"fleet_vm_tmax_ii_per_sec\": " << R.FleetTMaxPerSec << ", "
           << "\"max_threads\": " << R.MaxThreads << ", "
-          << "\"cemit_fleet_ii_per_sec\": " << R.CEmitPerSec << ", "
+          << "\"native_fleet_t1_ii_per_sec\": " << R.NativePerSec << ", "
           << "\"fleet_t1_vs_scalar\": "
           << (R.ScalarPerSec > 0 ? R.FleetT1PerSec / R.ScalarPerSec : 0)
           << ", "
           << "\"fleet_tmax_vs_t1\": "
           << (R.FleetT1PerSec > 0 ? R.FleetTMaxPerSec / R.FleetT1PerSec : 0)
           << ", "
-          << "\"cemit_vs_fleet_t1\": "
-          << (R.FleetT1PerSec > 0 ? R.CEmitPerSec / R.FleetT1PerSec : 0)
+          << "\"native_vs_fleet_t1\": "
+          << (R.FleetT1PerSec > 0 ? R.NativePerSec / R.FleetT1PerSec : 0)
           << "}" << (I + 1 < Rows.size() ? "," : "") << "\n";
     }
     Out << "  ]\n}\n";

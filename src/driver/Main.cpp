@@ -54,8 +54,8 @@
 ///                      has not finished within MS milliseconds
 ///   --sndbuf BYTES     SO_SNDBUF for accepted connections (ops knob)
 ///   --fleet N          run --simulate over a fleet of N instances of the
-///                      process (SoA lane-block sweep; instance j draws
-///                      from seed S + j)
+///                      process, each a scalar lane over its own state
+///                      block (instance j draws from seed S + j)
 ///   --threads T        shard the fleet across T worker threads
 ///   --mode M           execution engine for --simulate: vm (default,
 ///                      the slot-resolved bytecode VM), nested or flat
@@ -666,9 +666,9 @@ int main(int Argc, char **Argv) {
 
   if (Simulate && Fleet) {
     // Fleet simulation: N instances of the compiled process, each with
-    // its own deterministic environment (seed S + j), swept in SoA
-    // lane blocks and sharded over --threads workers. Traces print per
-    // instance in instance order; counters are fleet-wide sums.
+    // its own deterministic environment (seed S + j), run as scalar
+    // lanes sharded over --threads workers. Traces print per instance in
+    // instance order; counters are fleet-wide sums.
     if (Mode != EngineMode::Vm)
       std::fprintf(stderr, "signalc: warning: --fleet always runs the "
                            "slot-VM fleet engine; --mode ignored\n");
@@ -687,8 +687,8 @@ int main(int Argc, char **Argv) {
       else
         Exec.run(Envs, Simulate);
     } else {
-      // Tiered fleet: poll the controller at window boundaries and swap
-      // the whole sweep onto the native _step_fleet entry when ready.
+      // Tiered fleet: poll the controller at window boundaries and move
+      // every lane onto the native step when it is ready.
       TierController TC(C->Compiled, Tier);
       if (!TC.start()) {
         std::fprintf(stderr, "signalc: --native force failed: %s\n",

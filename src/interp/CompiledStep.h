@@ -14,7 +14,7 @@
 ///     per-instant heap allocation in the steady state,
 ///   * the nested block tree is linearized into a single instruction
 ///     stream with skip-offsets: an absent clock advances the PC past its
-///     whole subtree in O(1) instead of recursing through execBlock,
+///     whole subtree in O(1) instead of recursing through runBlock,
 ///   * partially-absent clock operands (slot -1) and constant "when"
 ///     arms are resolved at build time into dedicated opcodes, so the
 ///     hot loop never re-derives them.

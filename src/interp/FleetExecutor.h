@@ -1,41 +1,29 @@
 //===--- FleetExecutor.h - One program, many instances ----------*- C++-*-===//
 ///
 /// \file
-/// Executes a fleet of independent instances of one CompiledStep — the
-/// production shape the ROADMAP names: millions of sessions (one per
-/// device or user) of the *same* compiled program. Where VmExecutor
-/// batches over *time* (stepN windows), FleetExecutor batches over
-/// *instances*, and the two compose: each window of instants is swept
-/// across the whole fleet.
+/// Executes a fleet of independent instances of one CompiledStep — many
+/// sessions (one per device or user) of the *same* compiled program.
+/// The paper compiles a process to one sequential step over a state
+/// block, so an instance is nothing more than a state block: a fleet is
+/// N scalar lanes stepped by that one step.
 ///
-/// Layout and loop structure:
+///   * a lane is one delay-state block (the VM's tagged slot format,
+///     contiguous per lane) plus its environment binding; a checkpoint
+///     is a copy of the block,
+///   * each shard owns one scalar workspace — a VmExecutor running
+///     stepLane() over the lane's block, or, after setNative(), a
+///     NativeExecutor doing the same through the module's
+///     `sigc_native_run` — and steps its lanes one after another, each
+///     through the whole window. Batch buffers belong to the shard, so
+///     memory does not grow with the lane count,
+///   * contiguous lane ranges, aligned to Config::LaneBlock, shard across
+///     a std::thread pool. Shards share nothing mutable, and each lane
+///     owns its Environment, so the result is deterministic for any
+///     thread count.
 ///
-///   * fleet state is structure-of-arrays — `state.slot[instance]`, not
-///     `instance.slot[]` — so the per-instruction sweep walks contiguous
-///     lanes,
-///   * the inner loop sweeps each bytecode instruction across a
-///     lane-block of K instances: opcode dispatch happens once per
-///     instruction per block instead of once per instruction per
-///     instance, and the per-lane bodies are branch-predictable (clock
-///     ops are fully branchless over the lane mask),
-///   * control flow is predicated, not branched: a SkipIfAbsent narrows
-///     a per-lane active mask (saved on a preallocated mask stack)
-///     instead of moving the PC, so lanes whose clock is absent ride
-///     through the block without executing — with the scalar fast path
-///     preserved: when every lane is inactive the PC skips the whole
-///     subtree exactly as the scalar VM does,
-///   * instance ranges are sharded across a std::thread pool in
-///     lane-block-aligned contiguous chunks. Shards share nothing
-///     mutable: each owns its scratch slots, batch buffers and counter
-///     accumulators, and each instance owns its Environment, so the
-///     result is deterministic for any thread count.
-///
-/// Guard economics are preserved exactly per instance: a lane bumps the
-/// guard counter only when it reaches the guard (its enclosing blocks
-/// are active), and executes an instruction only when its own mask bit
-/// is set. The fleet's guardTests()/executed() totals therefore equal
-/// the *sum* of per-instance scalar VmExecutor runs — pinned by the
-/// differential oracle.
+/// Every lane runs exactly the scalar batch, so per-lane traces equal
+/// scalar runs and guardTests()/executed() are the exact sums of the
+/// per-instance scalar counts — pinned by the differential oracle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,23 +32,25 @@
 
 #include "interp/CompiledStep.h"
 #include "interp/Environment.h"
-#include "native/NativeModule.h"
+#include "interp/VmExecutor.h"
+#include "native/NativeExecutor.h"
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace sigc {
 
-/// Interprets a CompiledStep across a fleet of instances.
+/// Runs a CompiledStep across a fleet of instances.
 class FleetExecutor {
 public:
   struct Config {
-    /// Lanes swept per instruction: the instance-block size K. One
-    /// dispatch per instruction serves K instances.
+    /// Shard granularity: lane ranges handed to threads are multiples of
+    /// this many lanes (the last range may be shorter).
     unsigned LaneBlock = 64;
-    /// Worker threads instance ranges are sharded across. 1 executes
-    /// inline on the calling thread (and is the allocation-free path:
-    /// spawning std::threads allocates).
+    /// Worker threads lane ranges are sharded across. 1 executes inline
+    /// on the calling thread (and is the allocation-free path: spawning
+    /// std::threads allocates).
     unsigned Threads = 1;
   };
 
@@ -69,11 +59,11 @@ public:
       : FleetExecutor(CS, Instances, Config()) {}
 
   unsigned instances() const { return NumInstances; }
-  unsigned laneBlock() const { return K; }
+  unsigned laneBlock() const { return Cfg.LaneBlock; }
   unsigned threads() const { return Cfg.Threads; }
 
   /// Re-initializes every instance's delay state.
-  void reset();
+  void reset() { resetLanes(0, NumInstances); }
 
   /// Re-initializes the delay state of instances [First, First+Num) only
   /// — a lane range being handed to a new session keeps the rest of the
@@ -84,19 +74,17 @@ public:
   /// done lazily when a step sees an unbound environment).
   /// \p Envs has one environment per instance; instance i only ever
   /// touches Envs[i], so per-instance environments make the threaded
-  /// sweep share no mutable state.
+  /// run share no mutable state.
   void bind(const std::vector<Environment *> &Envs);
 
   /// (Re)binds one instance to \p Env — sessions come and go
-  /// independently, and rebinding a joining session's lanes must not
+  /// independently, and rebinding a joining session's lane must not
   /// touch the rest of the fleet.
   void bindInstance(unsigned Inst, Environment &Env);
 
   /// Runs \p Count reactions starting at instant \p Start for every
-  /// instance: per lane-block, ticks and inputs are prefetched for the
-  /// whole window, every instant sweeps the bytecode across the block's
-  /// lanes, and outputs flush once per instance in exactly the order a
-  /// scalar unbatched run records them.
+  /// instance; each lane runs the scalar batch, so its outputs flush in
+  /// exactly the order a scalar unbatched run records them.
   void stepN(const std::vector<Environment *> &Envs, unsigned Start,
              unsigned Count);
 
@@ -105,24 +93,20 @@ public:
   /// is indexed by absolute instance id (entries outside the range are
   /// not read). Unlike stepN, different lane ranges may sit at different
   /// instants — the serving front end's shape, where each session is a
-  /// lane range advancing at its own pace. Single-threaded: sessions are
-  /// small slices; the thread pool belongs to whole-fleet sweeps.
+  /// lane advancing at its own pace. Single-threaded: sessions are
+  /// small slices; the thread pool belongs to whole-fleet windows.
   void stepLanes(const std::vector<Environment *> &Envs, unsigned First,
                  unsigned Num, unsigned Start, unsigned Count);
 
   /// Runs \p Count reactions starting at instant 0 in one window.
-  void run(const std::vector<Environment *> &Envs, unsigned Count);
+  void run(const std::vector<Environment *> &Envs, unsigned Count) {
+    stepN(Envs, 0, Count);
+  }
 
   /// Runs \p Count reactions starting at instant 0, windowed by
   /// \p Window instants (bounds the batch-buffer footprint).
   void runBatched(const std::vector<Environment *> &Envs, unsigned Count,
                   unsigned Window);
-
-  /// Preallocates every shard's batch buffers for windows of up to
-  /// \p MaxCount instants; stepN grows them on demand otherwise (a
-  /// one-time allocation, after which single-threaded sweeps are
-  /// allocation-free).
-  void reserveWindow(unsigned MaxCount);
 
   /// Guard tests summed over every instance; equals the sum of scalar
   /// per-instance VmExecutor counts on the same traces.
@@ -134,16 +118,9 @@ public:
     Executed = 0;
   }
 
-  /// Delay state \p Slot of instance \p Instance (tests).
-  const Value &state(unsigned Slot, unsigned Instance) const {
-    return StateSoA[static_cast<size_t>(Slot) * NumInstances + Instance];
-  }
-
   /// Delay-state slots per instance — the size of a lane checkpoint.
   unsigned stateSlots() const {
-    return NumInstances ? static_cast<unsigned>(StateSoA.size() /
-                                                NumInstances)
-                        : 0;
+    return static_cast<unsigned>(CS.StateInit.size());
   }
 
   /// Copies instance \p Inst's delay state into \p Out (resized to
@@ -158,73 +135,44 @@ public:
   /// (any instance of any executor compiled from the same step).
   void restoreLaneState(unsigned Inst, const std::vector<Value> &In);
 
-  /// Routes subsequent window sweeps through \p M's `sigc_native_run_fleet`
-  /// (nullptr returns to the interpreter). The swap is a pure dispatch
-  /// change at a window boundary: StateSoA stays the canonical per-lane
-  /// state — packed into the module before each window and unpacked after
-  /// — so checkpoints, resetLanes and mixed interpreted/native windows
-  /// keep working unchanged, and counters keep their scalar-sum meaning.
-  /// \p M must be a validated module for this same CompiledStep and must
-  /// outlive its use here.
+  /// Runs subsequent windows through \p M's `sigc_native_run` (nullptr
+  /// returns to the interpreter). The swap is a pure dispatch change at a
+  /// window boundary: lane state blocks keep the one tagged format both
+  /// tiers read and write, so checkpoints, resetLanes and mixed
+  /// interpreted/native windows keep working unchanged, and counters
+  /// keep their scalar-sum meaning. \p M must be a validated module for
+  /// this same CompiledStep and must outlive its use here.
   void setNative(const NativeModule *M);
-  bool nativeActive() const { return Native != nullptr; }
+  bool nativeActive() const { return Shards[0].Native != nullptr; }
 
 private:
-  /// Per-shard workspace: everything one worker thread touches while
-  /// sweeping its instance range. Shards are constructed up front and
+  /// One worker's workspace and lane range. Constructed up front and
   /// reused; nothing here is shared.
   struct Shard {
-    unsigned FirstInstance = 0;
-    unsigned EndInstance = 0;
-    std::vector<char> ClockSoA;  ///< [clock slot][lane], current block.
-    std::vector<Value> ValueSoA; ///< [value slot][lane], current block.
-    std::vector<unsigned char> Active;    ///< [lane] predicate mask.
-    std::vector<unsigned char> MaskStack; ///< [depth][lane] saved masks.
-    std::vector<int32_t> CloseAt;         ///< [depth] region close PCs.
-    std::vector<unsigned char> TickBuf;   ///< [clock desc][lane][instant].
-    std::vector<Value> InBuf;             ///< [input desc][lane][instant].
-    std::vector<unsigned char> OutPresent; ///< [lane][instant][flush pos].
-    std::vector<Value> OutVals;            ///< [lane][instant][flush pos].
-    uint64_t GuardTests = 0;
-    uint64_t Executed = 0;
-    // Native-tier marshalling scratch (grown on first native window).
-    std::vector<unsigned char> NScratch;  ///< Emitted AoS arrays.
-    std::vector<NativeValue> NStates;     ///< [lane][state slot].
-    std::vector<unsigned long long> NGuards; ///< Per-lane counter in/out.
-    std::vector<unsigned long long> NExecs;  ///< Per-lane counter in/out.
-    std::vector<unsigned char> NTicks;    ///< Dense [lane][instant][clock].
-    std::vector<NativeValue> NIns;        ///< Dense [lane][instant][input].
-    std::vector<unsigned char> NOutP;     ///< Dense [lane][instant][pos].
-    std::vector<NativeValue> NOutV;       ///< Dense [lane][instant][pos].
+    explicit Shard(const CompiledStep &CS) : Vm(CS) {}
+    unsigned First = 0;
+    unsigned End = 0;
+    VmExecutor Vm;
+    std::unique_ptr<NativeExecutor> Native; ///< Set while native.
   };
 
-  /// Sweeps one lane-block (\p I0 ..< \p I0+NB) through one window.
-  void execBlock(Shard &S, const std::vector<Environment *> &Envs,
-                 unsigned I0, unsigned NB, unsigned Start, unsigned Count);
-  /// Same window, but through the native module's fleet entry point.
-  void execBlockNative(Shard &S, const std::vector<Environment *> &Envs,
-                       unsigned I0, unsigned NB, unsigned Start,
-                       unsigned Count);
-  /// Runs one shard's instance range through one window.
-  void execShard(Shard &S, const std::vector<Environment *> &Envs,
-                 unsigned Start, unsigned Count);
-  void ensureShardCapacity(Shard &S);
+  /// Steps lanes [First, End) through one window on \p S's workspace.
+  void runLanes(Shard &S, const std::vector<Environment *> &Envs,
+                unsigned First, unsigned End, unsigned Start,
+                unsigned Count);
+  /// Folds \p S's counters into the fleet totals and zeroes them.
+  void collectCounters(Shard &S);
+  Value *laneState(unsigned Inst) {
+    return States.data() + static_cast<size_t>(Inst) * stateSlots();
+  }
 
   const CompiledStep &CS;
   unsigned NumInstances;
-  unsigned K;       ///< Lane-block size (Cfg.LaneBlock).
   Config Cfg;
-  unsigned MaxDepth; ///< Deepest SkipIfAbsent nesting in CS.Code.
 
-  std::vector<Value> StateSoA; ///< [state slot][instance], whole fleet.
-  std::vector<StepBindings> Bind;     ///< Per instance.
-  std::vector<uint64_t> BoundIds;     ///< identity() per bound env.
-  std::vector<EnvOutputId> FlushIds;  ///< [instance][flush position].
-  std::vector<int32_t> FlushPos;      ///< Output desc -> flush position.
-  std::vector<Shard> Shards;
-  Shard LaneShard; ///< Scratch workspace for stepLanes (no instance range).
-  unsigned WindowCap = 0; ///< Capacity of the shard batch buffers.
-  const NativeModule *Native = nullptr; ///< Non-null: sweep via _step_fleet.
+  std::vector<Value> States;     ///< [instance][state slot].
+  std::vector<BoundEnv> Binds;   ///< Per instance.
+  std::vector<Shard> Shards;     ///< Shards[0] also serves stepLanes.
 
   uint64_t GuardTests = 0;
   uint64_t Executed = 0;

@@ -93,7 +93,7 @@ void StepExecutor::execInstr(const StepInstr &In, Environment &Env,
   }
 }
 
-void StepExecutor::execBlock(int BlockIdx, Environment &Env,
+void StepExecutor::runBlock(int BlockIdx, Environment &Env,
                              unsigned Instant) {
   const StepBlock &B = Step.Blocks[BlockIdx];
   if (B.GuardSlot >= 0) {
@@ -103,7 +103,7 @@ void StepExecutor::execBlock(int BlockIdx, Environment &Env,
   }
   for (const StepBlock::Item &It : B.Items) {
     if (It.IsBlock)
-      execBlock(It.Index, Env, Instant);
+      runBlock(It.Index, Env, Instant);
     else
       execInstr(Step.Instrs[It.Index], Env, Instant);
   }
@@ -117,7 +117,7 @@ void StepExecutor::step(Environment &Env, unsigned Instant, ExecMode Mode) {
   std::fill(ClockSlots.begin(), ClockSlots.end(), false);
 
   if (Mode == ExecMode::Nested) {
-    execBlock(Step.RootBlock, Env, Instant);
+    runBlock(Step.RootBlock, Env, Instant);
     return;
   }
   for (const StepInstr &In : Step.Instrs) {

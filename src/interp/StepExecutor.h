@@ -64,7 +64,7 @@ public:
 
 private:
   void execInstr(const StepInstr &In, Environment &Env, unsigned Instant);
-  void execBlock(int BlockIdx, Environment &Env, unsigned Instant);
+  void runBlock(int BlockIdx, Environment &Env, unsigned Instant);
 
   const KernelProgram &Prog;
   const StepProgram &Step;

@@ -93,19 +93,26 @@ void VmExecutor::setStateSlots(const std::vector<Value> &S) {
   StateSlots = S;
 }
 
-void VmExecutor::bind(Environment &Env) {
-  Bind = resolveBindings(Env, CS.ClockInputs, CS.Inputs, CS.Outputs);
-  BoundIdentity = Env.identity();
-  // The flush table maps each output descriptor to its batch-flush
-  // position (code order of the WriteOutput instructions) and each
-  // position to the environment id just bound.
-  FlushPos.assign(CS.Outputs.size(), 0);
-  FlushIds.assign(CS.OutputFlushOrder.size(), InvalidEnvId);
-  for (size_t Pos = 0; Pos < CS.OutputFlushOrder.size(); ++Pos) {
-    FlushPos[CS.OutputFlushOrder[Pos]] = static_cast<int32_t>(Pos);
-    FlushIds[Pos] = Bind.Outputs[CS.OutputFlushOrder[Pos]];
-  }
+BoundEnv sigc::bindEnv(Environment &Env, const CompiledStep &CS) {
+  BoundEnv B;
+  B.Ids = resolveBindings(Env, CS.ClockInputs, CS.Inputs, CS.Outputs);
+  B.Identity = Env.identity();
+  // Batch-flush positions are the code order of the WriteOutput
+  // instructions; each maps to the environment id just bound.
+  B.FlushIds.reserve(CS.OutputFlushOrder.size());
+  for (int32_t Desc : CS.OutputFlushOrder)
+    B.FlushIds.push_back(B.Ids.Outputs[Desc]);
+  return B;
 }
+
+VmExecutor::VmExecutor(const CompiledStep &CS) : CS(CS) {
+  FlushPos.assign(CS.Outputs.size(), 0);
+  for (size_t Pos = 0; Pos < CS.OutputFlushOrder.size(); ++Pos)
+    FlushPos[CS.OutputFlushOrder[Pos]] = static_cast<int32_t>(Pos);
+  reset();
+}
+
+void VmExecutor::bind(Environment &Env) { Bind = bindEnv(Env, CS); }
 
 //===--- The op bodies, shared by both dispatchers ------------------------===//
 //
@@ -142,7 +149,7 @@ void VmExecutor::bind(Environment &Env) {
   X(WriteOutput, P.output(In.Aux, Instant, Vals[In.A]);)
 
 template <typename Port>
-void VmExecutor::execInstantSwitch(Port &P, unsigned Instant) {
+void VmExecutor::execInstantSwitch(Port &P, Value *State, unsigned Instant) {
   // Presence is recomputed from scratch each instant.
   std::fill(ClockSlots.begin(), ClockSlots.end(), 0);
 
@@ -150,7 +157,6 @@ void VmExecutor::execInstantSwitch(Port &P, unsigned Instant) {
   const int32_t End = static_cast<int32_t>(CS.Code.size());
   char *Clock = ClockSlots.data();
   Value *Vals = ValueSlots.data();
-  Value *State = StateSlots.data();
   const Value *Consts = CS.Consts.data();
 
   int32_t PC = 0;
@@ -178,7 +184,7 @@ void VmExecutor::execInstantSwitch(Port &P, unsigned Instant) {
 }
 
 template <typename Port>
-void VmExecutor::execInstantGoto(Port &P, unsigned Instant) {
+void VmExecutor::execInstantGoto(Port &P, Value *State, unsigned Instant) {
 #if SIGC_VM_COMPUTED_GOTO
   // Presence is recomputed from scratch each instant.
   std::fill(ClockSlots.begin(), ClockSlots.end(), 0);
@@ -187,7 +193,6 @@ void VmExecutor::execInstantGoto(Port &P, unsigned Instant) {
   const int32_t End = static_cast<int32_t>(CS.Code.size());
   char *Clock = ClockSlots.data();
   Value *Vals = ValueSlots.data();
-  Value *State = StateSlots.data();
   const Value *Consts = CS.Consts.data();
 
   // Positional dispatch table: one label per VmOp, in declaration order.
@@ -225,23 +230,23 @@ L_SkipIfAbsent: {
 #undef SIGC_VM_LABEL
 #undef SIGC_VM_DISPATCH
 #else
-  execInstantSwitch(P, Instant);
+  execInstantSwitch(P, State, Instant);
 #endif
 }
 
 template <typename Port>
-void VmExecutor::execInstant(Port &P, unsigned Instant) {
+void VmExecutor::execInstant(Port &P, Value *State, unsigned Instant) {
   if (UseGoto)
-    execInstantGoto(P, Instant);
+    execInstantGoto(P, State, Instant);
   else
-    execInstantSwitch(P, Instant);
+    execInstantSwitch(P, State, Instant);
 }
 
 void VmExecutor::step(Environment &Env, unsigned Instant) {
-  if (Env.identity() != BoundIdentity)
+  if (Env.identity() != Bind.Identity)
     bind(Env);
-  DirectPort P{Env, Bind};
-  execInstant(P, Instant);
+  DirectPort P{Env, Bind.Ids};
+  execInstant(P, StateSlots.data(), Instant);
 }
 
 void VmExecutor::reserveBatch(unsigned MaxCount) {
@@ -261,19 +266,24 @@ void VmExecutor::setWatchSlots(std::vector<int> Slots) {
 }
 
 void VmExecutor::stepN(Environment &Env, unsigned Start, unsigned Count) {
+  if (Env.identity() != Bind.Identity)
+    bind(Env);
+  stepLane(Env, Bind, StateSlots.data(), Start, Count);
+}
+
+void VmExecutor::stepLane(Environment &Env, const BoundEnv &B, Value *State,
+                          unsigned Start, unsigned Count) {
   if (Count == 0)
     return;
-  if (Env.identity() != BoundIdentity)
-    bind(Env);
   reserveBatch(Count);
 
   const unsigned NumOut = static_cast<unsigned>(CS.Outputs.size());
 
   // One boundary crossing per descriptor: prefetch the whole window.
   for (size_t D = 0; D < CS.ClockInputs.size(); ++D)
-    Env.clockTicks(Bind.Clocks[D], Start, Count, &TickBuf[D * BatchCap]);
+    Env.clockTicks(B.Ids.Clocks[D], Start, Count, &TickBuf[D * BatchCap]);
   for (size_t D = 0; D < CS.Inputs.size(); ++D)
-    Env.inputValues(Bind.Inputs[D], Start, Count, &InBuf[D * BatchCap]);
+    Env.inputValues(B.Ids.Inputs[D], Start, Count, &InBuf[D * BatchCap]);
   std::fill(OutPresent.begin(),
             OutPresent.begin() + static_cast<size_t>(Count) * NumOut, 0);
 
@@ -288,14 +298,14 @@ void VmExecutor::stepN(Environment &Env, unsigned Start, unsigned Count) {
 
   for (unsigned I = 0; I < Count; ++I) {
     P.I = I;
-    execInstant(P, Start + I);
+    execInstant(P, State, Start + I);
     for (size_t W = 0; W < WatchSlots.size(); ++W)
       WatchBuf[W * BatchCap + I] =
           WatchSlots[W] >= 0 ? ClockSlots[WatchSlots[W]] : 0;
   }
 
   // One crossing back: flush the batch's outputs in unbatched order.
-  Env.exchangeOutputs(Start, Count, NumOut, FlushIds.data(),
+  Env.exchangeOutputs(Start, Count, NumOut, B.FlushIds.data(),
                       OutPresent.data(), OutVals.data());
 }
 

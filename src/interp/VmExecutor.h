@@ -16,6 +16,10 @@
 /// them. Slots stay hot across the batch; traces and counters are
 /// bit-identical to N calls of step().
 ///
+/// stepLane() is the same batch over a caller-owned delay-state block
+/// and binding: one executor steps any number of instances in turn,
+/// which is all a fleet is (see FleetExecutor).
+///
 /// Guard/instruction counters mirror the nested StepExecutor exactly, so
 /// benchmarks and regression tests can compare the two modes' guard
 /// economics number for number.
@@ -32,6 +36,18 @@
 
 namespace sigc {
 
+/// An environment bound to a CompiledStep: descriptor ids, the batch
+/// flush table (flush position -> output id) and the identity() it was
+/// resolved against. Executors cache one; a fleet keeps one per lane.
+struct BoundEnv {
+  StepBindings Ids;
+  std::vector<EnvOutputId> FlushIds;
+  uint64_t Identity = 0;
+};
+
+/// Resolves \p Env against \p CS (cold path: interns names, allocates).
+BoundEnv bindEnv(Environment &Env, const CompiledStep &CS);
+
 /// Instruction-dispatch strategy of the interpreter loop. Direct-threaded
 /// dispatch (GNU labels-as-values: one indirect `goto *` per instruction,
 /// so the branch predictor keys each opcode's successor separately)
@@ -45,7 +61,7 @@ enum class VmDispatch : uint8_t {
 /// Interprets a CompiledStep.
 class VmExecutor {
 public:
-  explicit VmExecutor(const CompiledStep &CS) : CS(CS) { reset(); }
+  explicit VmExecutor(const CompiledStep &CS);
 
   /// True when this build carries the computed-goto dispatcher
   /// (GCC/Clang; disable with -DSIGC_VM_NO_COMPUTED_GOTO).
@@ -75,6 +91,12 @@ public:
   /// calls of step(). Allocation-free once the batch buffers exist (see
   /// reserveBatch).
   void stepN(Environment &Env, unsigned Start, unsigned Count);
+
+  /// stepN over a caller-owned lane: \p State is the lane's delay-state
+  /// block (CS.StateInit.size() slots, updated in place) and \p B its
+  /// binding to \p Env. Counters accumulate here, as for stepN.
+  void stepLane(Environment &Env, const BoundEnv &B, Value *State,
+                unsigned Start, unsigned Count);
 
   /// Runs \p Count reactions starting at instant 0.
   void run(Environment &Env, unsigned Count);
@@ -111,9 +133,6 @@ public:
   bool clockPresent(int Slot) const { return ClockSlots[Slot] != 0; }
   const Value &value(int Slot) const { return ValueSlots[Slot]; }
 
-  /// The environment binding of the last bind() (linked wiring reads it).
-  const StepBindings &bindings() const { return Bind; }
-
   //===--- State exchange (tier hot-swap, tests) --------------------------===//
 
   /// The delay-state slots as they stand now. Taken at a batch boundary
@@ -134,16 +153,19 @@ public:
 
 private:
   /// One instant's PC walk; \p Port supplies ticks/inputs and receives
-  /// outputs (direct environment queries or batch buffers).
-  template <typename Port> void execInstant(Port &P, unsigned Instant);
+  /// outputs (direct environment queries or batch buffers); \p State is
+  /// the delay-state block the instant reads and updates.
+  template <typename Port>
+  void execInstant(Port &P, Value *State, unsigned Instant);
   /// The two dispatch loops over the same op bodies.
-  template <typename Port> void execInstantSwitch(Port &P, unsigned Instant);
-  template <typename Port> void execInstantGoto(Port &P, unsigned Instant);
+  template <typename Port>
+  void execInstantSwitch(Port &P, Value *State, unsigned Instant);
+  template <typename Port>
+  void execInstantGoto(Port &P, Value *State, unsigned Instant);
 
   const CompiledStep &CS;
   bool UseGoto = computedGotoAvailable();
-  uint64_t BoundIdentity = 0; ///< identity() of the bound environment.
-  StepBindings Bind;
+  BoundEnv Bind; ///< The environment of step()/stepN().
   std::vector<char> ClockSlots;
   std::vector<Value> ValueSlots; ///< Values, then scratch slots.
   std::vector<Value> StateSlots;
@@ -157,7 +179,6 @@ private:
   std::vector<unsigned char> OutPresent; ///< [instant][flush position].
   std::vector<Value> OutVals;            ///< [instant][flush position].
   std::vector<int32_t> FlushPos;       ///< Output desc -> flush position.
-  std::vector<EnvOutputId> FlushIds;   ///< Flush position -> bound env id.
   std::vector<int> WatchSlots;
   std::vector<unsigned char> WatchBuf; ///< [watch][instant].
 };

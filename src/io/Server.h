@@ -34,8 +34,9 @@
 /// --max-sessions instances, a joining session claims a free lane
 /// (resetting only that lane's delay state), and each scheduler wakeup
 /// advances runnable sessions by up to one instant-batch via stepLanes —
-/// sessions at different instants coexist because lane ranges advance
-/// independently.
+/// sessions at different instants coexist because each lane is its own
+/// state block stepped by the one scalar step. A lane checkpoint is a
+/// copy of that block, in the same format whichever tier runs the lane.
 ///
 /// Flow control is explicit in both directions: a session whose
 /// un-drained response bytes exceed the queue bound stops being stepped

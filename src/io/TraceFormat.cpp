@@ -503,6 +503,12 @@ TraceFrameStatus sigc::decodeTraceFrame(const TraceSpec &Spec,
              "zero-instant frame with a nonzero payload length"};
       return TraceFrameStatus::Error;
     }
+    if (Checksum != traceFnv32(nullptr, 0)) {
+      Err = {TraceErrorKind::Corrupt, StreamOffset + 12,
+             "corrupt trailer: checksum field is not the empty-payload "
+             "checksum"};
+      return TraceFrameStatus::Error;
+    }
     Consumed = TraceFrameHeaderBytes;
     TotalInstants = Start;
     return TraceFrameStatus::End;

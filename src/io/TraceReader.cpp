@@ -193,6 +193,21 @@ bool TraceReader::matchesStep(const CompiledStep &CS) {
   return false;
 }
 
+bool TraceReader::atEndOfStream() {
+  std::string IoErr;
+  size_t Avail = 0;
+  if (!Source.peek(1, Avail, IoErr)) {
+    Err = {TraceErrorKind::Io, Offset, "read failed: " + IoErr};
+    return false;
+  }
+  if (Avail == 0)
+    return true;
+  Err = {TraceErrorKind::Malformed, Offset,
+         "unexpected bytes after the trailer (the trailer must end the "
+         "stream)"};
+  return false;
+}
+
 TraceFrameStatus TraceReader::nextFrame(TraceFrame &F) {
   assert(HeaderRead && "frames before readHeader");
   size_t Min = TraceFrameHeaderBytes;
@@ -236,6 +251,8 @@ TraceFrameStatus TraceReader::nextFrame(TraceFrame &F) {
              "trailer declares " + std::to_string(TotalInstants) +
                  " instants but frames covered " +
                  std::to_string(NextInstant)};
+      return TraceFrameStatus::Error;
+    } else if (!atEndOfStream()) {
       return TraceFrameStatus::Error;
     }
     return St;

@@ -129,7 +129,8 @@ public:
 
   /// Decodes the next frame into \p F. Frame on success, End at the
   /// trailer, Error otherwise (a file source reports a mid-frame EOF as
-  /// Error with a Truncated kind; NeedMore is never returned here).
+  /// Error with a Truncated kind, and bytes after the trailer as Error
+  /// with a Malformed kind; NeedMore is never returned here).
   TraceFrameStatus nextFrame(TraceFrame &F);
 
   /// Total instants declared by the trailer (valid once nextFrame
@@ -142,6 +143,9 @@ public:
   const TraceError &error() const { return Err; }
 
 private:
+  /// True when the source is exhausted; otherwise false with Err set.
+  bool atEndOfStream();
+
   TraceSource &Source;
   TraceSpec Spec;
   TraceError Err;

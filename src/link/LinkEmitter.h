@@ -14,8 +14,11 @@
 ///                       (channel-bound ticks and values do not appear),
 ///   <sys>_out_t         the external outputs,
 ///   <sys>_step()        one fused reaction,
-///   <sys>_step_batch()  N instants over input/output arrays,
-///   <sys>_step_fleet()  the lane-blocked many-instance entry point.
+///   <sys>_step_batch()  N instants over input/output arrays.
+///
+/// Many instances of a linked system need no entry point of their own:
+/// each is one <sys>_state_t stepped by <sys>_step_batch (the native
+/// tier's fleet lanes do exactly that).
 ///
 /// External fields are deduplicated by name, mirroring the
 /// interpreter's name-keyed environment: two units importing the same

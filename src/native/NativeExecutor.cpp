@@ -10,6 +10,7 @@ using namespace sigc;
 NativeExecutor::NativeExecutor(const CompiledStep &CS, const NativeModule &M)
     : CS(CS), M(M) {
   State.resize(M.stateBytes());
+  SlotBuf.resize(CS.StateInit.size());
   assert(M.numStateSlots() == CS.StateInit.size() &&
          "artifact does not match the compiled step");
   reset();
@@ -17,13 +18,7 @@ NativeExecutor::NativeExecutor(const CompiledStep &CS, const NativeModule &M)
 
 void NativeExecutor::reset() { M.init(State.data()); }
 
-void NativeExecutor::bind(Environment &Env) {
-  Bind = resolveBindings(Env, CS.ClockInputs, CS.Inputs, CS.Outputs);
-  BoundIdentity = Env.identity();
-  FlushIds.assign(CS.OutputFlushOrder.size(), InvalidEnvId);
-  for (size_t Pos = 0; Pos < CS.OutputFlushOrder.size(); ++Pos)
-    FlushIds[Pos] = Bind.Outputs[CS.OutputFlushOrder[Pos]];
-}
+void NativeExecutor::bind(Environment &Env) { Bind = bindEnv(Env, CS); }
 
 void NativeExecutor::reserveBatch(unsigned MaxCount) {
   if (MaxCount <= BatchCap)
@@ -40,18 +35,34 @@ void NativeExecutor::reserveBatch(unsigned MaxCount) {
 }
 
 void NativeExecutor::stepN(Environment &Env, unsigned Start, unsigned Count) {
+  if (Env.identity() != Bind.Identity)
+    bind(Env);
+  runBatch(Env, Bind, Start, Count);
+}
+
+void NativeExecutor::stepLane(Environment &Env, const BoundEnv &B,
+                              Value *Lane, unsigned Start, unsigned Count) {
+  for (size_t I = 0; I < SlotBuf.size(); ++I)
+    SlotBuf[I] = toNative(Lane[I]);
+  M.setState(State.data(), SlotBuf.data());
+  runBatch(Env, B, Start, Count);
+  M.getState(State.data(), SlotBuf.data());
+  for (size_t I = 0; I < SlotBuf.size(); ++I)
+    Lane[I] = fromNative(SlotBuf[I], CS.StateInit[I].Kind);
+}
+
+void NativeExecutor::runBatch(Environment &Env, const BoundEnv &B,
+                              unsigned Start, unsigned Count) {
   if (Count == 0)
     return;
-  if (Env.identity() != BoundIdentity)
-    bind(Env);
   reserveBatch(Count);
 
   const unsigned NumOut = static_cast<unsigned>(CS.Outputs.size());
 
   for (size_t D = 0; D < CS.ClockInputs.size(); ++D)
-    Env.clockTicks(Bind.Clocks[D], Start, Count, &TickBuf[D * BatchCap]);
+    Env.clockTicks(B.Ids.Clocks[D], Start, Count, &TickBuf[D * BatchCap]);
   for (size_t D = 0; D < CS.Inputs.size(); ++D) {
-    Env.inputValues(Bind.Inputs[D], Start, Count, InVals.data());
+    Env.inputValues(B.Ids.Inputs[D], Start, Count, InVals.data());
     NativeValue *Col = &InBuf[D * BatchCap];
     for (unsigned I = 0; I < Count; ++I)
       Col[I] = toNative(InVals[I]);
@@ -69,7 +80,7 @@ void NativeExecutor::stepN(Environment &Env, unsigned Start, unsigned Count) {
         OutVals[At] = fromNative(
             OutNative[At], CS.Outputs[CS.OutputFlushOrder[Pos]].Type);
     }
-  Env.exchangeOutputs(Start, Count, NumOut, FlushIds.data(),
+  Env.exchangeOutputs(Start, Count, NumOut, B.FlushIds.data(),
                       OutPresent.data(), OutVals.data());
 }
 
@@ -85,10 +96,9 @@ void NativeExecutor::importState(const std::vector<Value> &Slots,
                                  uint64_t Guards, uint64_t Executed) {
   assert(Slots.size() == CS.StateInit.size() &&
          "state snapshot does not match the compiled step");
-  std::vector<NativeValue> N(Slots.size());
   for (size_t I = 0; I < Slots.size(); ++I)
-    N[I] = toNative(Slots[I]);
-  M.setState(State.data(), N.data());
+    SlotBuf[I] = toNative(Slots[I]);
+  M.setState(State.data(), SlotBuf.data());
   M.setCounters(State.data(), Guards, Executed);
 }
 

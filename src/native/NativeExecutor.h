@@ -10,14 +10,16 @@
 /// VM-exactly, by the PR 5 emitter) are byte-identical to the VM's —
 /// which is what lets the tier controller hot-swap a session onto this
 /// executor at any batch boundary: importState() takes the VM's delay
-/// slots and counters, exportState() hands them back.
+/// slots and counters, exportState() hands them back. stepLane() runs a
+/// batch over a caller-owned tagged state block instead, which is how a
+/// fleet's lanes run native with the VM's lane format.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SIGNALC_NATIVE_NATIVEEXECUTOR_H
 #define SIGNALC_NATIVE_NATIVEEXECUTOR_H
 
-#include "interp/Environment.h"
+#include "interp/VmExecutor.h"
 #include "native/NativeModule.h"
 
 #include <cstdint>
@@ -65,6 +67,13 @@ public:
   /// Runs \p Count instants starting at \p Start.
   void stepN(Environment &Env, unsigned Start, unsigned Count);
 
+  /// Runs \p Count instants of a caller-owned lane: \p State holds its
+  /// delay slots as tagged Values (VmExecutor::stepLane's format), loaded
+  /// into the native struct before the batch and stored back after.
+  /// Counters accumulate here, as for stepN.
+  void stepLane(Environment &Env, const BoundEnv &B, Value *State,
+                unsigned Start, unsigned Count);
+
   /// Runs \p Count instants from 0 in windows of \p BatchSize.
   void runBatched(Environment &Env, unsigned Count, unsigned BatchSize);
 
@@ -80,16 +89,19 @@ public:
 
   uint64_t guardTests() const;
   uint64_t executed() const;
+  void resetCounters() { M.setCounters(State.data(), 0, 0); }
 
 private:
   void reserveBatch(unsigned MaxCount);
+  /// One batch through `sigc_native_run` against binding \p B.
+  void runBatch(Environment &Env, const BoundEnv &B, unsigned Start,
+                unsigned Count);
 
   const CompiledStep &CS;
   const NativeModule &M;
   std::vector<unsigned char> State; ///< The opaque native state struct.
-  uint64_t BoundIdentity = 0;
-  StepBindings Bind;
-  std::vector<EnvOutputId> FlushIds; ///< Flush position -> bound env id.
+  std::vector<NativeValue> SlotBuf; ///< Delay-slot exchange scratch.
+  BoundEnv Bind; ///< The environment of stepN().
 
   unsigned BatchCap = 0;
   std::vector<unsigned char> TickBuf; ///< [clock desc][instant].

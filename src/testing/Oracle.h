@@ -11,8 +11,8 @@
 ///   4. the slot-resolved VM (CompiledStep through VmExecutor), both
 ///      instant by instant and batched through the bulk environment
 ///      exchange (stepN windows),
-///   5. the FleetExecutor — N instances of the same bytecode swept in
-///      SoA lane blocks across shard threads, each instance pinned
+///   5. the FleetExecutor — N instances of the same bytecode run as
+///      scalar lanes sharded across threads, each instance pinned
 ///      trace- and counter-identical to a scalar VM run,
 ///   6. optionally, the emitted C — lowered from the same CompiledStep
 ///      bytecode — round-tripped through the host C compiler (-std=c99
@@ -22,7 +22,8 @@
 ///      compiled to a shared object through the production cache path
 ///      and, at every batch boundary k, a run that interprets k
 ///      instants then finishes on the dlopen'd step function — pinned
-///      trace- and counter-identical to the pure VM run,
+///      trace- and counter-identical to the pure VM run — and the fleet
+///      leg again with its lanes on that native step,
 ///
 /// and demand bit-identical output traces. Any divergence is a bug in the
 /// clock hierarchy, the schedule, the step compiler or the C emitter, and
@@ -62,17 +63,19 @@ struct OracleOptions {
   /// for every batch boundary k, the trace of "interpret k instants,
   /// swap the session onto the native step function, finish native"
   /// must equal the pure-VM trace bit for bit, final counters included.
-  /// Skipped (not failed) when no host C compiler is found.
+  /// The fleet leg then reruns with its lanes on the native artifact
+  /// (FleetExecutor::setNative), held to the same scalar traces and
+  /// counter sums; the linked oracle runs that native fleet leg over
+  /// the fused step. Skipped (not failed) when no host C compiler is
+  /// found.
   bool NativeSwap = false;
-  /// Instances of the fleet leg (0 disables it): a FleetExecutor sweeps
+  /// Instances of the fleet leg (0 disables it): a FleetExecutor runs
   /// this many per-instance environments (instance j seeded EnvSeed+j,
   /// instance 0 thus replaying the scalar legs' trace) and every
   /// instance's trace — plus the summed guard/executed counters — must
-  /// equal a scalar VM run of that instance alone. When the C round-trip
-  /// also runs, the harness self-checks `<proc>_step_fleet` against
-  /// per-instance `<proc>_step_batch` over the same baked inputs.
+  /// equal a scalar VM run of that instance alone.
   unsigned FleetInstances = 5;
-  /// Lane-block size of the fleet leg (instances per SoA sweep block).
+  /// Lane-block size of the fleet leg (the shard granularity).
   unsigned FleetLaneBlock = 2;
   /// Shard threads of the fleet leg.
   unsigned FleetThreads = 2;
@@ -108,12 +111,9 @@ struct OracleReport {
   uint64_t ExecutedFleet = 0;
   /// True when the C round-trip actually ran (compiler available).
   bool CRoundTripRan = false;
-  /// True when the native hot-swap leg ran (compiler available).
+  /// True when the native legs ran (compiler available): the hot swap
+  /// and the native fleet, or for a linked report the native fleet.
   bool NativeSwapRan = false;
-  /// True when the C harness's in-C fleet self-check ran and passed
-  /// (the harness compares `_step_fleet` against per-instance
-  /// `_step_batch` and prints a #fleet line the oracle demands).
-  bool CFleetChecked = false;
 };
 
 /// Runs the differential oracle on \p Source (named \p Name in reports).
@@ -149,7 +149,10 @@ const std::string &hostCCompilerCommand();
 //   2. the LinkedExecutor over the separately compiled units, both
 //      instant by instant and batched per unit (stepN windows),
 //   3. optionally, the linked C emission round-tripped through the host
-//      C compiler, its per-unit counters pinned to the linked VM's.
+//      C compiler, its per-unit counters pinned to the linked VM's,
+//   4. the fleet leg over the fused step, per instance pinned to a
+//      linked run of that instance — and, with NativeSwap, again with
+//      the lanes on a native artifact of the fused step.
 //
 // The report also fails if linking re-resolved any process's forest (node
 // counts must not change between compilation and link).

@@ -13,7 +13,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -268,6 +271,37 @@ TEST(Cli, ReplayOfTruncatedRecordingIsAPositionedExitTwo) {
     EXPECT_NE(R.Output.find("offset"), std::string::npos) << R.Output;
     EXPECT_NE(R.Output.find("stream ends inside"), std::string::npos)
         << R.Output;
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(Cli, ReplayRejectsACorruptTrailerAndBytesAfterIt) {
+  std::string Path = tempTracePath("trailer");
+  CliResult Rec = runSignalc(
+      "--builtin FIG5_ALARM --simulate 40 --seed 3 --record " + Path);
+  ASSERT_EQ(Rec.Exit, 0) << Rec.Output;
+
+  // Once with a flipped bit in the trailer's checksum field (the file's
+  // last byte), once with one byte appended after an intact trailer:
+  // neither stream may replay as complete.
+  std::string Good;
+  {
+    std::ifstream In(Path, std::ios::binary);
+    Good.assign(std::istreambuf_iterator<char>(In), {});
+  }
+  std::string BadSum = Good;
+  BadSum.back() ^= 0x01;
+  const std::pair<std::string, const char *> Cases[] = {
+      {BadSum, "corrupt trailer"}, {Good + '\0', "after the trailer"}};
+  for (const auto &[Bytes, Why] : Cases) {
+    std::ofstream(Path, std::ios::binary | std::ios::trunc) << Bytes;
+    for (const char *Extra : {"", " --replay-buffered"}) {
+      CliResult R =
+          runSignalc("--builtin FIG5_ALARM --replay " + Path + Extra);
+      EXPECT_NE(R.Exit, 0) << R.Output;
+      EXPECT_NE(R.Output.find("offset"), std::string::npos) << R.Output;
+      EXPECT_NE(R.Output.find(Why), std::string::npos) << R.Output;
+    }
   }
   std::remove(Path.c_str());
 }

@@ -155,9 +155,6 @@ TEST(DifferentialEmitC, Alarm) {
   EXPECT_EQ(R.ExecutedC, R.ExecutedVm);
   EXPECT_GT(R.GuardTestsC, 0u);
   EXPECT_GT(R.ExecutedC, 0u);
-  // The harness also self-checked the emitted _step_fleet against
-  // per-instance _step_batch runs and reported success.
-  EXPECT_TRUE(R.CFleetChecked);
 }
 
 TEST(DifferentialFleet, CountersSumOverInstancesAndInstanceZeroIsTheVm) {
@@ -237,7 +234,8 @@ TEST(DifferentialNativeSwap, RandomPrograms) {
   // artifact per program through the production cache path, swapped in
   // at every batch boundary (batch size varied per seed so the swap
   // points cover different instant phases). Delay-heavy generation
-  // makes the state handoff carry real accumulator values.
+  // makes the state handoff carry real accumulator values. The native
+  // fleet leg rides along.
   if (!hostCCompilerAvailable())
     GTEST_SKIP() << "no host C compiler";
   RandomProgramOptions Gen;
@@ -248,6 +246,8 @@ TEST(DifferentialNativeSwap, RandomPrograms) {
   for (uint64_t Seed = 4200; Seed < 4204; ++Seed) {
     O.EnvSeed = Seed + 5;
     O.BatchSize = 1 + static_cast<unsigned>(Seed % 9);
+    O.FleetLaneBlock = 1 + static_cast<unsigned>(Seed % 5);
+    O.FleetThreads = 1 + static_cast<unsigned>(Seed % 3);
     OracleReport R = checkRandomDifferential(Seed, Gen, O);
     EXPECT_TRUE(R.Ok) << R.Error;
     EXPECT_TRUE(R.NativeSwapRan);
@@ -270,16 +270,19 @@ TEST_P(RandomDifferential, AllPathsAgree) {
   OracleOptions O;
   O.Instants = 48;
   // Every random program round-trips through the host C compiler too
-  // (8 blocks x 16 seeds = 128 programs through the emitted-C leg).
+  // (8 blocks x 16 seeds = 128 programs through the emitted-C leg), and
+  // through a native artifact: hot swap at every batch boundary, then
+  // the fleet leg again with its lanes native.
   O.EmitCRoundTrip = true;
+  O.NativeSwap = true;
   for (uint64_t Seed = Block * 16; Seed < (Block + 1) * 16ull; ++Seed) {
     O.EnvSeed = Seed * 31 + 1;
     // Vary the batched leg's window so the sweep covers every
     // batch/instant-count phase, not just one.
     O.BatchSize = 1 + static_cast<unsigned>(Seed % 9);
-    // Vary the fleet leg's lane grouping and sharding the same way, so
-    // the sweep covers single-lane blocks, partial tail blocks, and
-    // both the inline and the threaded execution paths.
+    // Vary the fleet leg's shard granularity and thread count the same
+    // way, so the sweep covers single-lane shards, uneven shard splits,
+    // and both the inline and the threaded execution paths.
     O.FleetLaneBlock = 1 + static_cast<unsigned>(Seed % 5);
     O.FleetThreads = 1 + static_cast<unsigned>(Seed % 3);
     OracleReport R = checkRandomDifferential(Seed, Gen, O);

@@ -214,9 +214,9 @@ TEST(FaultInjection, ByteAtATimeReadsDecodeTheSameReplayAsMmap) {
   auto Src = openFaulty(Path, &Sys);
   std::vector<OutputEvent> Got = replayVerified(*C, *Src);
   EXPECT_EQ(Got.size(), Expected.size());
-  // One call per byte; the reader stops at the trailer without an extra
-  // EOF probe.
-  EXPECT_EQ(Sys.readCalls(), Ref.size());
+  // One call per byte, plus exactly one EOF probe after the trailer:
+  // the probe is how the reader proves no bytes follow the trailer.
+  EXPECT_EQ(Sys.readCalls(), Ref.size() + 1);
   ::unlink(Path.c_str());
 }
 

@@ -1,11 +1,11 @@
 //===--- fleet_test.cpp - Fleet-vs-scalar identity pins -------------------===//
 ///
 /// The FleetExecutor's contract is *bit-identical observable behaviour*
-/// per instance: running N instances of a program through the SoA
-/// lane-block sweep must produce, for every instance, exactly the trace
-/// and exactly the guard/executed counters a scalar VmExecutor produces
-/// for that instance alone — for every lane-block size, every thread
-/// count and every batching window. These tests pin that contract over
+/// per instance: running N instances of a program as fleet lanes must
+/// produce, for every instance, exactly the trace and exactly the
+/// guard/executed counters a scalar VmExecutor produces for that
+/// instance alone — for every shard granularity (LaneBlock), every
+/// thread count and every batching window. These tests pin that contract over
 /// the Figure-13 builtins; the differential oracle extends it to the
 /// random-program sweep.
 ///
@@ -188,8 +188,8 @@ TEST(Fleet, ResetRestoresInitialDelayState) {
 }
 
 TEST(Fleet, SingleInstanceFleetIsAScalarRun) {
-  // Degenerate fleet: one instance, one lane. Exercises the NB < K path
-  // and pins that a fleet of one is indistinguishable from the VM.
+  // Degenerate fleet: one instance in a shard sized for 64. Pins that a
+  // fleet of one is indistinguishable from the VM.
   auto C = compileOk(alarmFigure5Source());
   FleetExecutor::Config Cfg;
   Cfg.LaneBlock = 64;

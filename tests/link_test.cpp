@@ -376,7 +376,9 @@ TEST(LinkEmitter, EmitsTheFusedStepWithAllEntryPoints) {
   EXPECT_NE(C.find("void sys_step("), std::string::npos);
   EXPECT_NE(C.find("void sys_init("), std::string::npos);
   EXPECT_NE(C.find("void sys_step_batch("), std::string::npos);
-  EXPECT_NE(C.find("void sys_step_fleet("), std::string::npos);
+  // A fleet is N state blocks stepped by _step_batch: no lane-swept
+  // entry point is emitted.
+  EXPECT_EQ(C.find("step_fleet"), std::string::npos);
   EXPECT_EQ(C.find("void SENSOR_step("), std::string::npos);
   EXPECT_EQ(C.find("void MONITOR_step("), std::string::npos);
   // Channels were resolved into slot copies at link time: no channel

@@ -141,12 +141,14 @@ TEST(LinkedDifferential, SensorMonitorEmittedC) {
   O.Instants = 64;
   O.EnvSeed = 11;
   O.EmitCRoundTrip = true;
+  O.NativeSwap = true; // The fleet leg reruns on the fused step's .so.
   OracleReport R = checkLinkedDifferential(
       "sensor-monitor-c",
       {{"SENSOR", SensorSource}, {"MONITOR", MonitorSource}},
       SensorMonitorComposed, O);
   EXPECT_TRUE(R.Ok) << R.Error;
   EXPECT_TRUE(R.CRoundTripRan);
+  EXPECT_TRUE(R.NativeSwapRan);
 }
 
 //===----------------------------------------------------------------------===//
@@ -207,11 +209,16 @@ TEST(RandomPairDifferential, EmittedCSample) {
   OracleOptions O;
   O.Instants = 32;
   O.EmitCRoundTrip = true;
+  O.NativeSwap = true;
   for (uint64_t Seed = 500; Seed < 506; ++Seed) {
     O.EnvSeed = Seed;
+    // Native fleet lanes at varied shard granularity and thread counts.
+    O.FleetLaneBlock = 1 + static_cast<unsigned>(Seed % 5);
+    O.FleetThreads = 1 + static_cast<unsigned>(Seed % 3);
     OracleReport R = checkRandomPairDifferential(Seed, Gen, O);
     EXPECT_TRUE(R.Ok) << R.Error;
     EXPECT_TRUE(R.CRoundTripRan);
+    EXPECT_TRUE(R.NativeSwapRan);
   }
 }
 

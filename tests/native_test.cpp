@@ -523,8 +523,8 @@ TEST(FleetNative, SwapAtWindowBoundaryIsInvisible) {
   Ref.Exec->runBatched(Ref.Envs, Total, Window);
 
   // Swap to native at every window boundary k, and back to the
-  // interpreter one window later: StateSoA is canonical across the
-  // swap, so neither handoff may be observable.
+  // interpreter one window later: lane state keeps one format on both
+  // tiers, so neither handoff may be observable.
   for (unsigned K = Window; K < Total; K += Window) {
     Fleet F(C->Compiled, Instances, 0x5A4B, Cfg);
     F.Exec->runBatched(F.Envs, K, Window);

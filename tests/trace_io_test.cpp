@@ -495,3 +495,26 @@ TEST(TraceCorruption, NonContiguousFrameStartIsMalformed) {
   TraceError E = expectFrameError(R.Bytes, TraceErrorKind::Malformed);
   EXPECT_NE(E.Message.find("instant"), std::string::npos) << E.Message;
 }
+
+TEST(TraceCorruption, CorruptTrailerChecksumIsRejected) {
+  auto C = compileMixed();
+  Recording R = record(*C, 16, 8, 8);
+  // The trailer's checksum field sits at bytes 12..15 of the final
+  // 16-byte frame header; it must hold the empty-payload checksum.
+  const size_t TrailerAt = R.Bytes.size() - TraceFrameHeaderBytes;
+  R.Bytes[TrailerAt + 12] ^= 0x01;
+  TraceError E = expectFrameError(R.Bytes, TraceErrorKind::Corrupt);
+  EXPECT_EQ(E.Offset, TrailerAt + 12);
+  EXPECT_NE(E.Message.find("trailer"), std::string::npos) << E.Message;
+}
+
+TEST(TraceCorruption, BytesAfterTheTrailerAreRejected) {
+  auto C = compileMixed();
+  Recording R = record(*C, 16, 8, 8);
+  const size_t End = R.Bytes.size();
+  R.Bytes.push_back(0x00);
+  TraceError E = expectFrameError(R.Bytes, TraceErrorKind::Malformed);
+  EXPECT_EQ(E.Offset, End);
+  EXPECT_NE(E.Message.find("after the trailer"), std::string::npos)
+      << E.Message;
+}

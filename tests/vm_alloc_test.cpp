@@ -17,16 +17,22 @@
 #include "interp/FleetExecutor.h"
 #include "interp/StepExecutor.h"
 #include "interp/VmExecutor.h"
+#include "native/CcRunner.h"
+#include "native/NativeCache.h"
+#include "native/StepHash.h"
 #include "programs/Programs.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
 #include <new>
 #include <vector>
+
+#include <unistd.h>
 
 namespace {
 
@@ -149,16 +155,15 @@ TEST(VmAllocation, BatchedStepNIsZeroAllocInSteadyState) {
   EXPECT_GT(Env.Events, 0u) << "the run must actually produce outputs";
 }
 
-TEST(VmAllocation, FleetSweepIsZeroAllocInSteadyState) {
-  // The fleet's SoA lane-block sweep inherits the VM's contract: state,
-  // scratch, mask stacks, prefetch and flush buffers are all sized up
-  // front (or grown during warm-up), and warm windows run allocation-
-  // free. Measured on the inline single-shard path — spawning worker
-  // threads allocates by nature, so the Threads>1 path is exempt.
-  ProgramShape Shape;
-  Shape.DividerStages = 24;
-  auto C = compileOk(generateProgram("CHAIN", Shape));
+namespace {
 
+/// Allocations during eight warm rounds of windows over a six-lane fleet
+/// of \p CS on the inline single-shard path, with the lanes on \p M's
+/// native step when it is set; \p Events receives the outputs produced.
+/// Spawning worker threads allocates by nature, so the Threads>1 path is
+/// exempt.
+uint64_t warmFleetAllocs(const CompiledStep &CS, const NativeModule *M,
+                         uint64_t &Events) {
   std::vector<std::unique_ptr<DiscardEnvironment>> Owned;
   std::vector<Environment *> Envs;
   for (unsigned J = 0; J < 6; ++J) {
@@ -166,9 +171,10 @@ TEST(VmAllocation, FleetSweepIsZeroAllocInSteadyState) {
     Envs.push_back(Owned.back().get());
   }
   FleetExecutor::Config Cfg;
-  Cfg.LaneBlock = 4; // 6 instances: one full block plus a partial tail.
+  Cfg.LaneBlock = 4;
   Cfg.Threads = 1;
-  FleetExecutor Exec(C->Compiled, 6, Cfg);
+  FleetExecutor Exec(CS, 6, Cfg);
+  Exec.setNative(M);
 
   // Warm up: binding, window-buffer growth and lazy setup happen here.
   Exec.runBatched(Envs, 64, 32);
@@ -177,13 +183,52 @@ TEST(VmAllocation, FleetSweepIsZeroAllocInSteadyState) {
     for (unsigned Round = 0; Round < 8; ++Round)
       Exec.runBatched(Envs, 512, 32);
   });
-  EXPECT_EQ(Allocs, 0u)
-      << "the fleet sweep allocated on the hot path; SoA state, masks "
-         "and exchange buffers must be preallocated and reused";
-  uint64_t Events = 0;
+  Events = 0;
   for (const auto &E : Owned)
     Events += E->Events;
+  return Allocs;
+}
+
+} // namespace
+
+TEST(VmAllocation, FleetSweepIsZeroAllocInSteadyState) {
+  // The fleet's lanes inherit the VM's contract: lane state blocks,
+  // bindings and the shard's batch buffers are all sized up front (or
+  // grown during warm-up), and warm windows run allocation-free.
+  ProgramShape Shape;
+  Shape.DividerStages = 24;
+  auto C = compileOk(generateProgram("CHAIN", Shape));
+  uint64_t Events = 0;
+  EXPECT_EQ(warmFleetAllocs(C->Compiled, nullptr, Events), 0u)
+      << "fleet lanes allocated on the hot path; lane state and exchange "
+         "buffers must be preallocated and reused";
   EXPECT_GT(Events, 0u) << "the run must actually produce outputs";
+}
+
+TEST(VmAllocation, NativeFleetLanesAreZeroAllocInSteadyState) {
+  // Same windows with the lanes on the native tier: the per-lane state
+  // exchange and the shard's native batch buffers are reused too.
+  if (!nativeCompileAvailable())
+    GTEST_SKIP() << "no host C compiler";
+  ProgramShape Shape;
+  Shape.DividerStages = 24;
+  auto C = compileOk(generateProgram("CHAIN", Shape));
+  char Dir[] = "/tmp/sigc-alloc-test-XXXXXX";
+  ASSERT_NE(mkdtemp(Dir), nullptr);
+  NativeCache Cache(Dir);
+  std::string Hash = hashCompiledStep(C->Compiled), Err;
+  std::unique_ptr<NativeModule> M =
+      Cache.compileAndPublish(C->Compiled, Hash, Err);
+  ASSERT_TRUE(M) << Err;
+
+  uint64_t Events = 0;
+  EXPECT_EQ(warmFleetAllocs(C->Compiled, M.get(), Events), 0u)
+      << "native fleet lanes allocated on the hot path";
+  EXPECT_GT(Events, 0u) << "the run must actually produce outputs";
+
+  M.reset(); // dlclose before the artifact is unlinked
+  std::remove(Cache.soPath(Hash).c_str());
+  rmdir(Dir);
 }
 
 TEST(VmAllocation, LegacyStepExecutorAllocatesWhatTheVmEliminated) {
