@@ -104,6 +104,13 @@ TEST(DifferentialBuiltins, Figure5Alarm) {
   EXPECT_LE(R.GuardTestsNested, R.GuardTestsFlat);
 }
 
+namespace sigc {
+// Without this gtest prints the parameter as a raw byte dump that starts
+// with a heap address, and gtest_discover_tests copies that dump into the
+// ctest test name, so every build would name these cases differently.
+void PrintTo(const Figure13Program &P, std::ostream *OS) { *OS << P.Name; }
+} // namespace sigc
+
 namespace {
 
 class Figure13Differential
