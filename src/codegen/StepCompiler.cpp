@@ -144,7 +144,6 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
   for (int ActIdx : Graph.schedule()) {
     const Action &A = Graph.actions()[ActIdx];
     StepInstr In;
-    ForestNodeId GuardNode = InvalidForestNode;
 
     switch (A.Kind) {
     case ActionKind::ClockInput: {
@@ -168,7 +167,6 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
         ForestNodeId CondClock =
             Forest.nodeOf(Sys.signalClock(Node.CondSignal));
         In.Guard = SlotOfNode.at(CondClock);
-        GuardNode = CondClock;
       } else {
         // Derived/residual presence is a cheap boolean over already
         // computed slots; it runs unguarded because its operands may sit
@@ -187,7 +185,6 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
       In.Target = SP.SignalValueSlot[A.Sig];
       In.Sig = A.Sig;
       In.Guard = SP.SignalClockSlot[A.Sig];
-      GuardNode = A.Clock;
       In.Desc = static_cast<int>(SP.Inputs.size());
       SP.Inputs.push_back({A.Sig, In.Target, In.Guard,
                            Prog.Signals[A.Sig].Type, sigName(A.Sig)});
@@ -199,7 +196,6 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
       In.EqIndex = A.EqIndex;
       In.Sig = A.Sig;
       In.Guard = SP.SignalClockSlot[A.Sig];
-      GuardNode = A.Clock;
       switch (Eq.Kind) {
       case KernelEqKind::Func:
         In.Op = StepOp::EvalFunc;
@@ -227,7 +223,6 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
       In.A = StateSlotOfEq.at(A.EqIndex);
       In.Sig = A.Sig;
       In.Guard = SP.SignalClockSlot[A.Sig];
-      GuardNode = A.Clock;
       break;
     }
     case ActionKind::StoreDelay: {
@@ -237,7 +232,6 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
       In.A = SP.SignalValueSlot[Eq.DelaySource];
       In.Sig = A.Sig;
       In.Guard = SP.SignalClockSlot[A.Sig];
-      GuardNode = A.Clock;
       break;
     }
     case ActionKind::WriteOutput: {
@@ -246,7 +240,6 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
       In.Target = In.A;
       In.Sig = A.Sig;
       In.Guard = SP.SignalClockSlot[A.Sig];
-      GuardNode = A.Clock;
       In.Desc = static_cast<int>(SP.Outputs.size());
       SP.Outputs.push_back({A.Sig, In.A, In.Guard, Prog.Signals[A.Sig].Type,
                             sigName(A.Sig)});
@@ -256,7 +249,7 @@ StepProgram sigc::compileStep(const KernelProgram &Prog,
 
     int InstrIdx = static_cast<int>(SP.Instrs.size());
     SP.Instrs.push_back(In);
-    Nest.append(InstrIdx, GuardNode);
+    Nest.append(InstrIdx, guardNode(A, Forest, Sys));
     // From here on the action's clock slot holds its final value (a
     // literal skipped by an absent condition clock correctly stays 0),
     // so later instructions may nest under it.

@@ -14,7 +14,8 @@
 ///   * nested: instructions are grouped into blocks that follow the clock
 ///     tree, so an absent clock skips its whole subtree (code a of
 ///     Figure 9 — the optimization the clock hierarchy enables).
-/// Both execute identically; the nested one does strictly less guard work.
+/// Both execute identically; the nested one never tests more guards than
+/// the flat one, which the differential oracle enforces on every run.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -29,6 +29,95 @@ const char *sigc::actionKindName(ActionKind K) {
   return "<bad>";
 }
 
+ForestNodeId sigc::guardNode(const Action &A, ClockForest &Forest,
+                             const ClockSystem &Sys) {
+  switch (A.Kind) {
+  case ActionKind::ClockInput:
+    return InvalidForestNode;
+  case ActionKind::ClockEval: {
+    const ClockNode &Node = Forest.node(A.Clock);
+    if (Node.Def != ClockDefKind::Literal)
+      return InvalidForestNode;
+    return Forest.nodeOf(Sys.signalClock(Node.CondSignal));
+  }
+  default:
+    return A.Clock;
+  }
+}
+
+namespace {
+
+/// The ready set of the list scheduler. Ready actions sit in one
+/// min-index bucket per forest node (their guard node); a virtual root
+/// above every tree holds the unguarded ones. Each node also counts the
+/// ready actions in its subtree, so a pick never scans the ready set:
+/// from the last pick's guard node it climbs to the nearest node whose
+/// subtree has ready work, then takes that node's own smallest action,
+/// or descends into its first child (forest order) with ready work.
+/// Staying in the open block, then its descendants, then its siblings
+/// is what lets consecutive actions share one block guard (Figure 9,
+/// code a).
+class ClockListScheduler {
+public:
+  explicit ClockListScheduler(const ClockForest &Forest)
+      : Forest(Forest), VirtualRoot(static_cast<int>(Forest.numNodes())),
+        Roots(Forest.roots()), Buckets(Forest.numNodes() + 1),
+        SubtreeReady(Forest.numNodes() + 1, 0), Cursor(VirtualRoot) {}
+
+  bool empty() const { return SubtreeReady[VirtualRoot] == 0; }
+
+  /// Makes \p Action ready; \p Guard is its guardNode().
+  void push(int Action, ForestNodeId Guard) {
+    int Node = Guard == InvalidForestNode ? VirtualRoot : Guard;
+    Buckets[Node].push(Action);
+    for (int N = Node; N >= 0; N = parent(N))
+      ++SubtreeReady[N];
+  }
+
+  int pop() {
+    assert(!empty());
+    int N = Cursor;
+    while (SubtreeReady[N] == 0)
+      N = parent(N);
+    while (Buckets[N].empty())
+      N = firstReadyChild(N);
+    int Action = Buckets[N].top();
+    Buckets[N].pop();
+    for (int M = N; M >= 0; M = parent(M))
+      --SubtreeReady[M];
+    Cursor = N;
+    return Action;
+  }
+
+private:
+  int parent(int N) const {
+    if (N == VirtualRoot)
+      return -1;
+    ForestNodeId P = Forest.node(N).Parent;
+    return P == InvalidForestNode ? VirtualRoot : P;
+  }
+
+  int firstReadyChild(int N) const {
+    const std::vector<ForestNodeId> &Children =
+        N == VirtualRoot ? Roots : Forest.node(N).Children;
+    for (ForestNodeId C : Children)
+      if (SubtreeReady[C] != 0)
+        return C;
+    assert(false && "subtree count without a ready child");
+    return VirtualRoot;
+  }
+
+  const ClockForest &Forest;
+  const int VirtualRoot;
+  const std::vector<ForestNodeId> Roots;
+  std::vector<std::priority_queue<int, std::vector<int>, std::greater<int>>>
+      Buckets;
+  std::vector<unsigned> SubtreeReady;
+  int Cursor;
+};
+
+} // namespace
+
 int CondDepGraph::addAction(const Action &A) {
   Actions.push_back(A);
   Succs.emplace_back();
@@ -201,25 +290,26 @@ bool CondDepGraph::build(const KernelProgram &Prog, const ClockSystem &Sys,
     addEdge(ClockAction.at(Actions[Store].Clock), Store);
   }
 
-  // --- Topological sort (Kahn, smallest action index first for
-  // determinism) -----------------------------------------------------------
+  // --- Schedule (Kahn, ready actions picked along the clock tree) --------
   std::vector<unsigned> InDegree(Actions.size(), 0);
   for (const auto &S : Succs)
     for (int T : S)
       ++InDegree[T];
 
-  std::priority_queue<int, std::vector<int>, std::greater<int>> Ready;
-  for (unsigned I = 0; I < Actions.size(); ++I)
+  ClockListScheduler Ready(Forest);
+  std::vector<ForestNodeId> GuardOf(Actions.size());
+  for (unsigned I = 0; I < Actions.size(); ++I) {
+    GuardOf[I] = guardNode(Actions[I], Forest, Sys);
     if (InDegree[I] == 0)
-      Ready.push(static_cast<int>(I));
+      Ready.push(static_cast<int>(I), GuardOf[I]);
+  }
 
   while (!Ready.empty()) {
-    int A = Ready.top();
-    Ready.pop();
+    int A = Ready.pop();
     Schedule.push_back(A);
     for (int T : Succs[A])
       if (--InDegree[T] == 0)
-        Ready.push(T);
+        Ready.push(T, GuardOf[T]);
   }
 
   if (Schedule.size() != Actions.size()) {

@@ -15,6 +15,17 @@
 ///                        end of the instant ordered after X and after the
 ///                        LoadDelay that reads the old state.
 ///
+/// The schedule is a list schedule that follows the clock tree: among the
+/// ready actions it prefers one guarded by the clock that guards the
+/// action just scheduled, then one guarded inside that clock's subtree;
+/// failing both, it climbs to the nearest ancestor clock with ready work
+/// below it and descends from there (first child in forest order). Ties
+/// go to the smallest action index. Same-clock work thus sits together,
+/// and the nested step opens each guard block once rather than once per
+/// action (Figure 9, code a). This is the "merge adjacent same-clock
+/// control" step of clock-directed code generation (Biernacki, Colaço,
+/// Hamon, Pouzet, LCTES 2008).
+///
 /// A dependency cycle makes the program causally incorrect and is
 /// rejected. (The paper refines this with the clock labels — a cycle whose
 /// label product is the null clock is harmless; this implementation keeps
@@ -55,11 +66,20 @@ struct Action {
   int EqIndex = -1;                       ///< Kernel equation, if any.
 };
 
+/// The forest node whose block guards \p A in the nested step, or
+/// InvalidForestNode when \p A runs unguarded: clock inputs and
+/// derived/residual presence computations are unguarded, a literal clock
+/// is guarded by its condition's clock, and every other action by its
+/// own clock. The scheduler clusters actions by this node and the step
+/// compiler nests them under it.
+ForestNodeId guardNode(const Action &A, ClockForest &Forest,
+                       const ClockSystem &Sys);
+
 /// The built graph plus its schedule.
 class CondDepGraph {
 public:
   /// Builds the graph for \p Prog whose clocks were resolved into
-  /// \p Forest, then topologically sorts it.
+  /// \p Forest, then list-schedules it along the clock tree.
   /// \returns false on a causality cycle (diagnosed).
   bool build(const KernelProgram &Prog, const ClockSystem &Sys,
              ClockForest &Forest, const StringInterner &Names,

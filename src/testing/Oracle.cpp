@@ -627,6 +627,16 @@ OracleReport sigc::checkDifferential(const std::string &Name,
         Source);
     return R;
   }
+  // Figure 9: guards on the clock tree (code a) must not test more than
+  // one guard per instruction (code b) does.
+  if (R.GuardTestsNested > R.GuardTestsFlat) {
+    R.Error = failure(Name, "nested step tests more guards than flat",
+                      "nested: guards=" + std::to_string(R.GuardTestsNested) +
+                          "\nflat:   guards=" +
+                          std::to_string(R.GuardTestsFlat) + "\n",
+                      Source);
+    return R;
+  }
 
   // Path 5: the emitted C, through the host compiler. Same bytecode,
   // same trace, and the generated counters must land exactly on the

@@ -25,10 +25,12 @@
 ///      trace- and counter-identical to the pure VM run — and the fleet
 ///      leg again with its lanes on that native step,
 ///
-/// and demand bit-identical output traces. Any divergence is a bug in the
-/// clock hierarchy, the schedule, the step compiler or the C emitter, and
-/// the report carries the program source plus the first differing events
-/// so the failure reproduces from the test log alone.
+/// and demand bit-identical output traces. It also holds the Figure-9
+/// claim: the nested structure never tests more guards than the flat
+/// one. Any divergence is a bug in the clock hierarchy, the schedule, the
+/// step compiler or the C emitter, and the report carries the program
+/// source plus the first differing events so the failure reproduces from
+/// the test log alone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,9 +89,10 @@ struct OracleReport {
   /// On failure: which paths diverged, the first differing events, and
   /// the program source (empty when Ok).
   std::string Error;
-  /// Guard-test and instruction counters, exposed so tests can assert
-  /// the Figure-9 effect (nested does at most as many tests as flat) and
-  /// pin the VM's guard economics to the nested structure's exactly.
+  /// Guard-test and instruction counters. The oracle itself fails a run
+  /// whose nested step tests more guards than its flat one (Figure 9)
+  /// and pins the VM's guard economics to the nested structure's
+  /// exactly.
   uint64_t GuardTestsFlat = 0;
   uint64_t GuardTestsNested = 0;
   uint64_t GuardTestsVm = 0;

@@ -2,6 +2,7 @@
 
 #include "TestUtil.h"
 #include "codegen/CEmitter.h"
+#include "programs/Programs.h"
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <set>
 
 using namespace sigc;
 using namespace sigc::test;
@@ -147,6 +149,33 @@ TEST(CEmitter, StructuredIfsMatchSkipInstructionCount) {
   // Each skip contributes one guard-counter bump and one if.
   EXPECT_EQ(count(Code, "st->guard_tests += 1ULL;"), Skips) << Code;
   EXPECT_EQ(count(Code, "if (c"), Skips) << Code;
+}
+
+TEST(CompiledStep, BuiltinsOpenEachGuardBlockAboutOnce) {
+  // The clock-clustered schedule groups same-clock work, so the bytecode
+  // carries roughly one SkipIfAbsent per distinct guard clock, not one
+  // per guarded instruction (Figure 9, code a against code b).
+  std::vector<std::pair<std::string, std::string>> Programs = {
+      {"FIG5_ALARM", alarmFigure5Source()}};
+  for (const Figure13Program &P : figure13Suite())
+    Programs.emplace_back(P.Name, P.Source);
+  ASSERT_EQ(Programs.size(), 8u);
+  for (const auto &[Name, Source] : Programs) {
+    auto C = compileOk(Source);
+    if (!C->Ok)
+      continue;
+    size_t Skips = 0;
+    std::set<int32_t> GuardSlots;
+    for (const VmInstr &In : C->Compiled.Code)
+      if (In.Op == VmOp::SkipIfAbsent) {
+        ++Skips;
+        GuardSlots.insert(In.A);
+      }
+    // Skips <= ceil(1.25 * distinct guard slots).
+    EXPECT_LE(Skips, (5 * GuardSlots.size() + 3) / 4)
+        << Name << ": " << Skips << " SkipIfAbsent over "
+        << GuardSlots.size() << " guard slots";
+  }
 }
 
 TEST(CEmitter, CountersLiveInStateStruct) {

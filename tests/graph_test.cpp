@@ -19,6 +19,15 @@ std::unordered_map<int, int> positions(const CondDepGraph &G) {
   return Pos;
 }
 
+/// Id of the signal spelled \p Name in \p C.
+SignalId signalNamed(Compilation &C, const std::string &Name) {
+  for (SignalId S = 0; S < C.Kernel->numSignals(); ++S)
+    if (C.names().spelling(C.Kernel->Signals[S].Name) == Name)
+      return S;
+  ADD_FAILURE() << "no signal " << Name;
+  return InvalidSignal;
+}
+
 } // namespace
 
 TEST(Graph, ScheduleIsTopological) {
@@ -157,4 +166,35 @@ TEST(Graph, DeterministicSchedule) {
   auto C1 = compileOk(Source);
   auto C2 = compileOk(Source);
   EXPECT_EQ(C1->Graph.schedule(), C2->Graph.schedule());
+}
+
+TEST(Graph, SiblingClocksEachOpenOneBlock) {
+  // Two sibling clocks [C1] and [C2] under one root, whose equations
+  // alternate by signal index: T1, T2, U1, U2, ... A smallest-index
+  // schedule ping-pongs between them and reopens a block per signal;
+  // the clock-clustered schedule finishes one clock's chain before it
+  // starts the other's.
+  auto C = compileOk(proc("? integer A; boolean C1, C2; ! integer Y1, Y2;",
+                          "   synchro {A, C1, C2}\n"
+                          "   | T1 := A when C1\n"
+                          "   | T2 := A when C2\n"
+                          "   | U1 := T1 + 1\n"
+                          "   | U2 := T2 + 1\n"
+                          "   | V1 := U1 * U1\n"
+                          "   | V2 := U2 * U2\n"
+                          "   | Y1 := V1 - T1\n"
+                          "   | Y2 := V2 - T2",
+                          "integer T1, T2, U1, U2, V1, V2;"));
+  if (!C->Ok)
+    return;
+  for (const char *Sig : {"T1", "T2"}) {
+    int Slot = C->Step.SignalClockSlot[signalNamed(*C, Sig)];
+    ASSERT_GE(Slot, 0);
+    unsigned Opened = 0;
+    for (const StepBlock &B : C->Step.Blocks)
+      Opened += B.GuardSlot == Slot;
+    EXPECT_EQ(Opened, 1u) << "clock of " << Sig << "\n"
+                          << C->Graph.dump(*C->Kernel, C->names(),
+                                           *C->Forest, C->Clocks);
+  }
 }
