@@ -69,9 +69,11 @@
 ///                      (default: $XDG_CACHE_HOME/signalc)
 ///   --tier-after N     minimum interpreted instants before an auto
 ///                      promotion (warm-up threshold)
-///   --stats            after --simulate, print per-run instruction and
-///                      guard-test counters to stderr (and the per-tier
-///                      instant split when --native is on)
+///   --stats            print the forest's inclusion-test counters (tests,
+///                      and those the literal hulls left to a BDD walk)
+///                      to stderr; after --simulate, also per-run
+///                      instruction and guard-test counters (and the
+///                      per-tier instant split when --native is on)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -510,6 +512,12 @@ int main(int Argc, char **Argv) {
                C->Clocks.numVars(),
                static_cast<unsigned>(C->Forest->dfsOrder().size()),
                static_cast<unsigned>(C->Forest->freeClocks().size()));
+  if (Stats) {
+    const ForestBuildStats &FS = C->Forest->stats();
+    std::fprintf(stderr,
+                 "stats: forest inclusion_tests=%u bdd_fallbacks=%u\n",
+                 FS.InclusionTests, FS.InclusionBddFallbacks);
+  }
 
   if (DumpKernel)
     std::printf("kernel:\n%s", C->Kernel->dump(Names).c_str());

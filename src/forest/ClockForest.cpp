@@ -30,10 +30,17 @@ ForestNodeId ClockForest::newNode(ClockVarId Rep) {
   ForestNodeId Id = static_cast<ForestNodeId>(Nodes.size());
   ClockNode N;
   N.Rep = Rep;
-  N.Bdd = Mgr.top();
   Nodes.push_back(N);
+  Hulls.push_back(HullState::Stale);
+  HullBits.resize(HullBits.size() + HullWords);
+  setBdd(Id, Mgr.top());
   ClassNode[Rep] = Id;
   return Id;
+}
+
+void ClockForest::setBdd(ForestNodeId N, BddRef F) {
+  Nodes[N].Bdd = F;
+  Hulls[N] = HullState::Stale;
 }
 
 bool ClockForest::classIsNull(ClockVarId Rep) {
@@ -119,7 +126,7 @@ bool ClockForest::refreshSubtreeBdds(ForestNodeId Sub) {
   while (!Stack.empty()) {
     ForestNodeId N = Stack.back();
     Stack.pop_back();
-    Nodes[N].Bdd = Mgr.apply_and(Factor, Nodes[N].Bdd);
+    setBdd(N, Mgr.apply_and(Factor, Nodes[N].Bdd));
     if (!Nodes[N].Bdd.isValid())
       return false;
     for (ForestNodeId C : Nodes[N].Children)
@@ -128,7 +135,128 @@ bool ClockForest::refreshSubtreeBdds(ForestNodeId Sub) {
   return true;
 }
 
-ForestNodeId ClockForest::findDeepestParent(ForestNodeId Root, BddRef Target,
+//===----------------------------------------------------------------------===//
+// Literal hulls and the inclusion test
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Sets literal \p Lit (2v for v, 2v+1 for ¬v) in the bitset \p Bits.
+void setLiteral(uint64_t *Bits, uint32_t Lit) {
+  Bits[Lit / 64] |= uint64_t(1) << (Lit % 64);
+}
+
+/// Linear probe of the open-addressed memo \p Index for \p Ref: \returns
+/// the slot holding Ref in walk \p Walk, or the free slot where it goes.
+template <typename SlotVec>
+uint32_t memoProbe(const SlotVec &Index, uint32_t Walk, uint32_t Ref) {
+  uint32_t Mask = static_cast<uint32_t>(Index.size()) - 1;
+  uint32_t H =
+      static_cast<uint32_t>((uint64_t(Ref) * 0x9e3779b97f4a7c15ull) >> 32) &
+      Mask;
+  while (Index[H].Walk == Walk && Index[H].Ref != Ref)
+    H = (H + 1) & Mask;
+  return H;
+}
+
+} // namespace
+
+const uint64_t *ClockForest::hull(ForestNodeId N) {
+  uint64_t *Out = &HullBits[static_cast<size_t>(N) * HullWords];
+  if (Hulls[N] != HullState::Stale)
+    return Out;
+  BddRef F = Nodes[N].Bdd;
+  std::fill(Out, Out + HullWords, F.isFalse() ? ~uint64_t(0) : 0);
+  HullState State = F.isFalse() ? HullState::NonCube : HullState::Cube;
+  // A cube is one path: each node has a false cofactor and forces the
+  // literal of the other one. Follow it while it lasts.
+  while (!F.isTerminal()) {
+    BddVar V = Mgr.nodeVar(F);
+    assert(V < CondVars.size() && "node BDD over a non-condition variable");
+    BddRef Lo = Mgr.nodeLow(F), Hi = Mgr.nodeHigh(F);
+    if (Lo.isFalse()) {
+      setLiteral(Out, 2 * V);
+      F = Hi;
+    } else if (Hi.isFalse()) {
+      setLiteral(Out, 2 * V + 1);
+      F = Lo;
+    } else {
+      // First branching node: the rest of the hull is its essential set.
+      if (++HullWalk == 0) { // Stamps wrapped: no stale slot may match.
+        std::fill(MemoIndex.begin(), MemoIndex.end(), MemoSlot());
+        HullWalk = 1;
+      }
+      MemoCount = 0;
+      HullMemo.assign(2 * HullWords, 0);
+      std::fill(HullMemo.begin() + HullWords, HullMemo.end(), ~uint64_t(0));
+      uint32_t Off = essentialLiterals(F);
+      for (unsigned W = 0; W < HullWords; ++W)
+        Out[W] |= HullMemo[Off + W];
+      State = HullState::NonCube;
+      break;
+    }
+  }
+  Hulls[N] = State;
+  return Out;
+}
+
+uint32_t ClockForest::essentialLiterals(BddRef F) {
+  // ess(1) = ∅ and ess(0) = every literal (slots 0 and 1); otherwise
+  // ess(F) = ess(Lo) ∩ ess(Hi), plus v when Lo = 0 and ¬v when Hi = 0.
+  if (F.isTrue())
+    return 0;
+  if (F.isFalse())
+    return HullWords;
+  const MemoSlot &Hit = MemoIndex[memoProbe(MemoIndex, HullWalk, F.index())];
+  if (Hit.Walk == HullWalk)
+    return Hit.Offset;
+
+  BddRef Lo = Mgr.nodeLow(F), Hi = Mgr.nodeHigh(F);
+  uint32_t L = essentialLiterals(Lo);
+  uint32_t R = essentialLiterals(Hi);
+  uint32_t Off = static_cast<uint32_t>(HullMemo.size());
+  HullMemo.resize(Off + HullWords);
+  for (unsigned W = 0; W < HullWords; ++W)
+    HullMemo[Off + W] = HullMemo[L + W] & HullMemo[R + W];
+  BddVar V = Mgr.nodeVar(F);
+  assert(V < CondVars.size() && "node BDD over a non-condition variable");
+  if (Lo.isFalse())
+    setLiteral(&HullMemo[Off], 2 * V);
+  if (Hi.isFalse())
+    setLiteral(&HullMemo[Off], 2 * V + 1);
+
+  // Probe again: the recursive calls may have grown the index.
+  if (2 * (MemoCount + 1) > MemoIndex.size()) {
+    std::vector<MemoSlot> Old(2 * MemoIndex.size());
+    Old.swap(MemoIndex);
+    for (const MemoSlot &S : Old)
+      if (S.Walk == HullWalk)
+        MemoIndex[memoProbe(MemoIndex, HullWalk, S.Ref)] = S;
+  }
+  MemoIndex[memoProbe(MemoIndex, HullWalk, F.index())] = {F.index(), HullWalk,
+                                                         Off};
+  ++MemoCount;
+  return Off;
+}
+
+bool ClockForest::includes(ForestNodeId A, ForestNodeId B) {
+  ++Stats.InclusionTests;
+  const uint64_t *HA = hull(A);
+  const uint64_t *HB = hull(B);
+  // A ⇒ B forces every literal B forces, so one B forces and A does not
+  // refutes the inclusion.
+  for (unsigned W = 0; W < HullWords; ++W)
+    if (HB[W] & ~HA[W])
+      return false;
+  // A cube B is the conjunction of its hull: A ⇒ ∧hull(A) ⇒ ∧hull(B) = B.
+  if (Hulls[B] == HullState::Cube)
+    return true;
+  ++Stats.InclusionBddFallbacks;
+  return Mgr.implies(Nodes[A].Bdd, Nodes[B].Bdd);
+}
+
+ForestNodeId ClockForest::findDeepestParent(ForestNodeId Root,
+                                            ForestNodeId Target,
                                             ForestNodeId *EqualNode) {
   *EqualNode = InvalidForestNode;
   // DFS over nodes whose BDD contains Target; among them pick the deepest
@@ -145,7 +273,7 @@ ForestNodeId ClockForest::findDeepestParent(ForestNodeId Root, BddRef Target,
     Item I = Stack.back();
     Stack.pop_back();
     const ClockNode &N = Nodes[I.Node];
-    if (N.Bdd == Target) {
+    if (N.Bdd == Nodes[Target].Bdd) {
       // Exact BDD match: the clocks are provably equal; the caller merges
       // the classes (this includes the root, e.g. for a formula that
       // rewrites to the whole tree's clock as in the ALARM example).
@@ -158,7 +286,7 @@ ForestNodeId ClockForest::findDeepestParent(ForestNodeId Root, BddRef Target,
       BestDepth = I.Depth;
     }
     for (ForestNodeId C : N.Children)
-      if (Nodes[C].Alive && Mgr.implies(Target, Nodes[C].Bdd))
+      if (Nodes[C].Alive && includes(Target, C))
         Stack.push_back({C, I.Depth + 1});
   }
   return Best;
@@ -195,7 +323,7 @@ bool ClockForest::mergeInto(ForestNodeId From, ForestNodeId Into,
   for (ForestNodeId C : Orphans) {
     Nodes[C].Parent = InvalidForestNode;
     ForestNodeId Equal = InvalidForestNode;
-    ForestNodeId Deepest = findDeepestParent(Into, Nodes[C].Bdd, &Equal);
+    ForestNodeId Deepest = findDeepestParent(Into, C, &Equal);
     if (Mgr.budgetExhausted())
       return false;
     if (Equal != InvalidForestNode && Equal != C) {
@@ -209,8 +337,7 @@ bool ClockForest::mergeInto(ForestNodeId From, ForestNodeId Into,
     auto &Sibs = Nodes[Deepest].Children;
     for (size_t I = 0; I < Sibs.size();) {
       ForestNodeId S = Sibs[I];
-      if (S != C && Nodes[S].Bdd != Nodes[C].Bdd &&
-          Mgr.implies(Nodes[S].Bdd, Nodes[C].Bdd)) {
+      if (S != C && Nodes[S].Bdd != Nodes[C].Bdd && includes(S, C)) {
         Sibs.erase(Sibs.begin() + static_cast<long>(I));
         Nodes[S].Parent = C;
         Nodes[C].Children.push_back(S);
@@ -235,12 +362,12 @@ bool ClockForest::attachSubtree(ForestNodeId Sub, ForestNodeId TargetRoot,
     return false;
   }
 
-  Nodes[Sub].Bdd = NewBdd;
+  setBdd(Sub, NewBdd);
   if (!refreshSubtreeBdds(Sub))
     return false;
 
   ForestNodeId Equal = InvalidForestNode;
-  ForestNodeId Deepest = findDeepestParent(TargetRoot, NewBdd, &Equal);
+  ForestNodeId Deepest = findDeepestParent(TargetRoot, Sub, &Equal);
   if (Mgr.budgetExhausted())
     return false;
   if (Equal != InvalidForestNode) {
@@ -258,8 +385,7 @@ bool ClockForest::attachSubtree(ForestNodeId Sub, ForestNodeId TargetRoot,
   auto &Sibs = Nodes[Deepest].Children;
   for (size_t I = 0; I < Sibs.size();) {
     ForestNodeId S = Sibs[I];
-    if (S != Sub && Nodes[S].Bdd != NewBdd &&
-        Mgr.implies(Nodes[S].Bdd, NewBdd)) {
+    if (S != Sub && Nodes[S].Bdd != NewBdd && includes(S, Sub)) {
       Sibs.erase(Sibs.begin() + static_cast<long>(I));
       Nodes[S].Parent = Sub;
       Nodes[Sub].Children.push_back(S);
@@ -291,10 +417,13 @@ bool ClockForest::build(const ClockSystem &Sys, const KernelProgram &Prog,
   Stats = ForestBuildStats();
 
   // One BDD variable per condition: size the manager's unique table and
-  // operation caches for this program before the hot loops start. The
-  // inclusion tests below (Mgr.implies) are ITE-to-constant checks that
-  // allocate no nodes, so their cost is pure cache-probe time.
+  // operation caches for this program before the hot loops start, and
+  // give every node's literal hull two bits per condition.
   Mgr.presize(static_cast<unsigned>(Sys.conditions().size()));
+  HullWords = static_cast<unsigned>((2 * Sys.conditions().size() + 63) / 64);
+  HullBits.clear();
+  Hulls.clear();
+  MemoIndex.assign(64, MemoSlot());
 
   // Step 0: equalities via union-find ("choose one variable which will
   // replace the others", Section 3.3).
@@ -379,6 +508,8 @@ bool ClockForest::build(const ClockSystem &Sys, const KernelProgram &Prog,
     if (!attachLiteral(PosRep, true) || !attachLiteral(NegRep, false))
       return false;
   }
+  assert(CondVars.size() == Sys.conditions().size() &&
+         "literal hulls assume one BDD variable per condition");
   if (Mgr.budgetExhausted())
     return false;
 
@@ -430,14 +561,14 @@ bool ClockForest::build(const ClockSystem &Sys, const KernelProgram &Prog,
       return EqOutcome::Failed;
     }
     if (LFresh && rootOf(O) != L) {
-      Nodes[L].Bdd = Nodes[O].Bdd;
+      setBdd(L, Nodes[O].Bdd);
       if (!refreshSubtreeBdds(L))
         return EqOutcome::Failed;
       return mergeInto(L, O, Diags, Loc) ? EqOutcome::Resolved
                                          : EqOutcome::Failed;
     }
     if (OFresh && rootOf(L) != O) {
-      Nodes[O].Bdd = Nodes[L].Bdd;
+      setBdd(O, Nodes[L].Bdd);
       if (!refreshSubtreeBdds(O))
         return EqOutcome::Failed;
       return mergeInto(O, L, Diags, Loc) ? EqOutcome::Resolved
@@ -622,7 +753,7 @@ bool ClockForest::build(const ClockSystem &Sys, const KernelProgram &Prog,
       return false;
     ForestNodeId Sub = SubIt->second, Sup = SupIt->second;
     if (rootOf(Sub) == rootOf(Sup))
-      return Mgr.implies(Nodes[Sub].Bdd, Nodes[Sup].Bdd);
+      return includes(Sub, Sup);
     // sup := x ∨ y with sub ∈ {x, y}.
     const ClockNode &SupNode = Nodes[Sup];
     if ((SupNode.Def == ClockDefKind::Derived ||

@@ -12,9 +12,17 @@
 ///   * every node carries a BDD over condition variables, *relative to the
 ///     root of its tree* (the root's BDD is the constant true),
 ///   * a defined clock k = k1 <op> k2 whose operands lie in one tree is
-///     inserted under its deepest containing parent, computed by BDD
-///     implication (the "canonical factorization" of [1]); equal BDDs merge
-///     classes, which is what makes the representation canonical,
+///     inserted under its deepest containing parent (the "canonical
+///     factorization" of [1]); equal BDDs merge classes, which is what
+///     makes the representation canonical,
+///   * every inclusion test the resolution asks (is F ⊆ G?) goes through
+///     includes(), which first compares the two nodes' *literal hulls*:
+///     the condition literals each BDD forces (its essential literals,
+///     2 bits per condition variable) plus an "is a cube" flag. A literal
+///     G forces but F does not refutes F ⊆ G; a cube G whose literals F
+///     all forces proves it. Only the remaining tests walk the BDDs with
+///     BddManager::implies. Hulls are computed lazily, once per BDD value,
+///     in time linear in the BDD's size,
 ///   * trees are fused when a definition relates their roots.
 ///
 /// Resolution runs the paper's three-step loop (Section 3.4 "Arborescent
@@ -89,6 +97,9 @@ struct ForestBuildStats {
   unsigned NullClocks = 0;       ///< Classes proved empty.
   unsigned Iterations = 0;       ///< Fixpoint rounds.
   uint64_t BddNodes = 0;         ///< Manager size after the run.
+  unsigned InclusionTests = 0;   ///< ClockForest::includes() calls.
+  unsigned InclusionBddFallbacks = 0; ///< ...the literal hulls left open,
+                                      ///< answered by BddManager::implies.
 };
 
 /// The forest of clock trees of one program.
@@ -131,6 +142,12 @@ public:
   /// Depth of \p N in its tree (root = 0).
   unsigned depth(ForestNodeId N) const;
 
+  /// \returns true iff clock \p A is included in clock \p B, i.e.
+  /// node(A).Bdd ⇒ node(B).Bdd; meaningful when both lie in one tree.
+  /// Exact: the literal hulls settle most tests (see the file comment),
+  /// BddManager::implies the rest (counted in stats()).
+  bool includes(ForestNodeId A, ForestNodeId B);
+
   /// The BDD variable standing for the value of condition \p C.
   /// \returns the variable, or ~0u if \p C never became a condition.
   BddVar conditionVar(SignalId C) const;
@@ -162,6 +179,8 @@ private:
 
   ForestNodeId rootOf(ForestNodeId N) const;
   ForestNodeId newNode(ClockVarId Rep);
+  /// The one writer of node BDDs: stores \p F and marks N's hull stale.
+  void setBdd(ForestNodeId N, BddRef F);
   void markNullSubtree(ForestNodeId N);
   void setClassNull(ClockVarId Rep);
   bool classIsNull(ClockVarId Rep);
@@ -172,9 +191,17 @@ private:
   bool refreshSubtreeBdds(ForestNodeId Sub);
 
   /// Finds the deepest alive node of the tree rooted at \p Root whose BDD
-  /// contains \p Target; also reports an exact-BDD match if one exists.
-  ForestNodeId findDeepestParent(ForestNodeId Root, BddRef Target,
+  /// contains \p Target's; also reports an exact-BDD match if one exists.
+  ForestNodeId findDeepestParent(ForestNodeId Root, ForestNodeId Target,
                                  ForestNodeId *EqualNode);
+
+  /// \p N's literal hull (HullWords words), computed on first use after
+  /// its BDD last changed.
+  const uint64_t *hull(ForestNodeId N);
+  /// Essential literals of a BDD with both cofactors non-false: a walk
+  /// memoised per call, each visited ref's set stored once in HullMemo.
+  /// \returns the offset of \p F's set in HullMemo.
+  uint32_t essentialLiterals(BddRef F);
 
   /// Attaches the tree rooted at \p Sub into the tree of \p TargetRoot,
   /// giving Sub the relative BDD \p NewBdd. Merges classes on BDD
@@ -197,6 +224,27 @@ private:
   std::unordered_map<SignalId, BddVar> CondVars;
   std::vector<ClockNode> Nodes;
   ForestBuildStats Stats;
+
+  /// Literal hulls, HullWords words per node: bit 2v is set when the BDD
+  /// forces condition variable v true, bit 2v+1 when it forces v false.
+  /// The false function forces every literal.
+  enum class HullState : uint8_t { Stale, Cube, NonCube };
+  unsigned HullWords = 0;
+  std::vector<uint64_t> HullBits;
+  std::vector<HullState> Hulls;
+  /// Scratch of essentialLiterals(): literal sets back to back (slot 0 is
+  /// the empty set, slot 1 the full one) and an open-addressed index from
+  /// BddRef bits to set offsets; an entry belongs to the current walk iff
+  /// its stamp equals HullWalk.
+  struct MemoSlot {
+    uint32_t Ref = 0;
+    uint32_t Walk = 0; ///< 0: empty (walks are numbered from 1).
+    uint32_t Offset = 0;
+  };
+  std::vector<uint64_t> HullMemo;
+  std::vector<MemoSlot> MemoIndex;
+  uint32_t MemoCount = 0;
+  uint32_t HullWalk = 0;
 };
 
 } // namespace sigc

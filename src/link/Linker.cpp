@@ -37,7 +37,7 @@ LinkResult fail(std::string Error) {
 /// Proves clock(A) ⊆ clock(B) inside one producer: both exports must live
 /// in one tree and the relative BDDs must satisfy the implication. This
 /// is the whole point of the canonical forest: an interface obligation is
-/// one (non-allocating) implies() call, never a re-resolution.
+/// one ClockForest::includes() test, never a re-resolution.
 bool producerProves(Compilation &P, SignalId A, SignalId B,
                     bool &SameTree) {
   ClockForest &F = *P.Forest;
@@ -50,7 +50,7 @@ bool producerProves(Compilation &P, SignalId A, SignalId B,
   SameTree = treeRootOf(F, NA) == treeRootOf(F, NB);
   if (!SameTree)
     return false;
-  return F.bddManager().implies(F.node(NA).Bdd, F.node(NB).Bdd);
+  return F.includes(NA, NB);
 }
 
 } // namespace
@@ -253,8 +253,8 @@ LinkResult sigc::linkCompiled(std::vector<LinkUnit> Units,
   // Consumer-imposed relations between imported clocks must be *proved*
   // on the exporting side: group the channels of one consumer by forest
   // node (same node = the consumer demands synchrony), then discharge
-  // each demand with implies() on the producer's relative BDDs — or, when
-  // the demand spans two producers, with implies() in the joint space.
+  // each demand with ClockForest::includes() on the producer's forest — or,
+  // when the demand spans two producers, with implies() in the joint space.
   for (unsigned U = 0; U < Sys->Units.size(); ++U) {
     Compilation &Cons = *Sys->Units[U].Comp;
     std::map<ForestNodeId, std::vector<LinkChannel *>> ByNode;
@@ -313,7 +313,7 @@ LinkResult sigc::linkCompiled(std::vector<LinkUnit> Units,
         ForestNodeId NI = Reps[I].first, NJ = Reps[J].first;
         if (treeRootOf(CF, NI) != treeRootOf(CF, NJ))
           continue; // Unrelated trees: no obligation.
-        if (!CF.bddManager().implies(CF.node(NI).Bdd, CF.node(NJ).Bdd))
+        if (!CF.includes(NI, NJ))
           continue; // The consumer does not demand NI ⊆ NJ.
         LinkChannel &A = *Reps[I].second;
         LinkChannel &B = *Reps[J].second;
@@ -341,7 +341,7 @@ LinkResult sigc::linkCompiled(std::vector<LinkUnit> Units,
                       B.Name + "', but producer '" +
                       Sys->Units[A.Producer].Name +
                       "' cannot prove the inclusion" +
-                      (SameTree ? " (implies() refuted it)"
+                      (SameTree ? " (the forest refuted it)"
                                 : " (the exports live in different clock "
                                   "trees)"));
       }

@@ -13,9 +13,9 @@
 ///      imported clocks (same class, or one contained in the other), the
 ///      exporting side must *prove* the corresponding relation. With a
 ///      single producer the proof runs on that producer's own forest, via
-///      BDD implies() on the exporters' relative BDDs — the paper's
+///      ClockForest::includes() on the exporters' nodes — the paper's
 ///      point: the forest is canonical, so interface obligations reduce
-///      to implication tests, not to re-resolution. When the obligation
+///      to inclusion tests, not to re-resolution. When the obligation
 ///      spans *two* producers, their forests are translated into a joint
 ///      BDD clock space (JointClockSpace.h) keyed by shared condition
 ///      signals, environment roots, and channel bindings, and the same

@@ -1,6 +1,8 @@
 //===--- forest_test.cpp - Arborescent canonical form ---------------------===//
 
 #include "TestUtil.h"
+#include "programs/Programs.h"
+#include "testing/RandomProgram.h"
 
 #include <gtest/gtest.h>
 
@@ -369,3 +371,126 @@ TEST_P(ForestPropertyTest, InvariantsHoldOnRandomPrograms) {
 
 INSTANTIATE_TEST_SUITE_P(RandomPrograms, ForestPropertyTest,
                          ::testing::Range(0u, 20u));
+
+//===----------------------------------------------------------------------===//
+// The inclusion predicate: literal hulls first, BDD walk as the fallback.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Checks ClockForest::includes(A, B) against BddManager::implies on the
+/// ordered pairs of alive nodes that share a root; with \p Stride > 1,
+/// on every Stride-th such pair only.
+void expectIncludesMatchesImplies(Compilation &C, const std::string &What,
+                                  unsigned Stride = 1) {
+  ClockForest &F = *C.Forest;
+  std::vector<ForestNodeId> Nodes = F.dfsOrder();
+  std::vector<ForestNodeId> Root(F.numNodes(), InvalidForestNode);
+  for (ForestNodeId N : Nodes) {
+    ForestNodeId P = F.node(N).Parent;
+    Root[N] = P == InvalidForestNode ? N : Root[P];
+  }
+  uint64_t Pairs = 0, Checked = 0, Mismatches = 0;
+  std::string First;
+  for (ForestNodeId A : Nodes)
+    for (ForestNodeId B : Nodes) {
+      if (Root[A] != Root[B] || Pairs++ % Stride != 0)
+        continue;
+      ++Checked;
+      bool Want = F.bddManager().implies(F.node(A).Bdd, F.node(B).Bdd);
+      if (F.includes(A, B) != Want && Mismatches++ == 0)
+        First = "includes(" + std::to_string(A) + ", " + std::to_string(B) +
+                ") should be " + (Want ? "true" : "false");
+    }
+  EXPECT_GT(Checked, 0u) << What;
+  EXPECT_EQ(Mismatches, 0u) << What << ": " << First;
+}
+
+} // namespace
+
+TEST(ForestIncludes, MatchesImpliesOnEveryBuiltin) {
+  std::vector<std::pair<std::string, std::string>> Programs = {
+      {"FIG5_ALARM", alarmFigure5Source()}};
+  for (const Figure13Program &P : figure13Suite())
+    Programs.emplace_back(P.Name, P.Source);
+  ASSERT_EQ(Programs.size(), 8u);
+  for (const auto &[Name, Source] : Programs) {
+    auto C = compileOk(Source);
+    ASSERT_TRUE(C->Ok) << Name;
+    // STOPWATCH has 687 alive nodes; a stride keeps the test short.
+    expectIncludesMatchesImplies(*C, Name, Name == "STOPWATCH" ? 13 : 1);
+  }
+}
+
+TEST(ForestIncludes, MatchesImpliesOnRandomPrograms) {
+  for (uint64_t Seed = 0; Seed < 60; ++Seed) {
+    auto C = compileOk(generateRandomProgram("R", Seed));
+    ASSERT_TRUE(C->Ok) << "seed " << Seed;
+    expectIncludesMatchesImplies(*C, "seed " + std::to_string(Seed));
+  }
+}
+
+TEST(ForestIncludes, HullSpansSeveralWords) {
+  // 40 conditions on one clock: hulls take 80 bits, two 64-bit words. The
+  // samples and unions mix literals from both words.
+  const unsigned N = 40;
+  std::string Body = "   OUT := IN", Locals;
+  for (unsigned I = 0; I < N; ++I) {
+    std::string S = std::to_string(I);
+    Locals += "boolean C" + S + "; integer A" + S + ", U" + S + ", K" + S +
+              "; ";
+    Body += "\n   | C" + S + " := (IN mod " + std::to_string(I + 2) +
+            ") = 0\n   | A" + S + " := IN when C" + S;
+    std::string Next = std::to_string((I + 1) % N);
+    std::string Far = std::to_string((I + 29) % N);
+    Body += "\n   | U" + S + " := A" + S + " default A" + Next;
+    Body += "\n   | K" + S + " := U" + S + " when C" + Far;
+  }
+  auto C = compileOk(proc("? integer IN; ! integer OUT;", Body, Locals));
+  ASSERT_TRUE(C->Ok);
+  ASSERT_GT(C->Clocks.conditions().size(), 32u);
+  expectIncludesMatchesImplies(*C, "40 conditions");
+}
+
+TEST(ForestIncludes, NonCubeUnionUsesTheMemoisedWalk) {
+  // ^V = [CA] ∧ ([CB] ∨ [CC]) ∧ [CD]: not a cube, and its BDD branches on
+  // CB/CC before it reaches CD, so [CD] is found by the memoised walk.
+  auto C = compileOk(proc("? integer IN; ! integer OUT;",
+                          "   CA := (IN mod 2) = 0\n"
+                          "   | CB := (IN mod 3) = 0\n"
+                          "   | CC := (IN mod 5) = 0\n"
+                          "   | CD := (IN mod 7) = 0\n"
+                          "   | X := IN when CA\n"
+                          "   | U := (X when CB) default (X when CC)\n"
+                          "   | V := U when CD\n"
+                          "   | W := (V when CB) default (X when CD)\n"
+                          "   | OUT := IN default W",
+                          "boolean CA, CB, CC, CD; integer X, U, V, W;"));
+  ASSERT_TRUE(C->Ok);
+  ClockForest &F = *C->Forest;
+  ForestNodeId V = F.nodeOf(clockOf(*C, "V"));
+  ForestNodeId D = F.nodeOf(C->Clocks.posLiteral(sigOf(*C, "CD")));
+  ForestNodeId A = F.nodeOf(C->Clocks.posLiteral(sigOf(*C, "CA")));
+  ASSERT_NE(V, InvalidForestNode);
+  // [CD] and [CA] are cubes; V forces both literals, so the hulls settle
+  // both tests with no BDD walk.
+  unsigned Fallbacks = F.stats().InclusionBddFallbacks;
+  EXPECT_TRUE(F.includes(V, D));
+  EXPECT_TRUE(F.includes(V, A));
+  EXPECT_FALSE(F.includes(D, V));
+  EXPECT_EQ(F.stats().InclusionBddFallbacks, Fallbacks);
+  expectIncludesMatchesImplies(*C, "non-cube union");
+}
+
+TEST(ForestIncludes, HullsSettleMostTestsOnFigure13) {
+  // Fallbacks to the BDD walk on the seven programs: STOPWATCH 4,157 of
+  // 39,655, WATCH 2,151 of 16,809, ALARM 519 of 3,219, CHRONO 126 of
+  // 2,534. Pin them at a fifth at most.
+  for (const Figure13Program &P : figure13Suite()) {
+    auto C = compileOk(P.Source);
+    ASSERT_TRUE(C->Ok) << P.Name;
+    const ForestBuildStats &St = C->Forest->stats();
+    EXPECT_GT(St.InclusionTests, 0u) << P.Name;
+    EXPECT_LE(5u * St.InclusionBddFallbacks, St.InclusionTests) << P.Name;
+  }
+}

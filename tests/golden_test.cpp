@@ -3,7 +3,8 @@
 /// Pins the resolved clock forest (--dump-tree), the CompiledStep
 /// bytecode (--dump-step), the C emission (--emit-c) and the
 /// separate-compilation interface (--dump-interface) of five builtin
-/// programs against checked-in golden files under tests/golden/. These
+/// programs against checked-in golden files under tests/golden/, and the
+/// forest alone of the three largest (ALARM, WATCH, STOPWATCH). These
 /// are change detectors: any alteration of the hierarchization, the
 /// bytecode lowering or the code generator shows up as a readable diff
 /// here before the differential suite has to find it dynamically.
@@ -29,9 +30,11 @@ using namespace sigc::test;
 namespace {
 
 /// Names of the pinned Figure-13 programs (FIG5_ALARM is pinned
-/// separately; STOPWATCH/WATCH/ALARM dumps are large and churn-prone).
+/// separately; STOPWATCH/WATCH/ALARM step and C dumps are large and
+/// churn-prone, so only their forests are pinned, by TreeOnlyPrograms).
 const char *PinnedPrograms[] = {"CHRONO", "SUPERVISOR", "PACE_MAKER",
                                 "ROBOT"};
+const char *TreeOnlyPrograms[] = {"ALARM", "WATCH", "STOPWATCH"};
 
 std::string builtinSource(const std::string &Name) {
   if (Name == "FIG5_ALARM")
@@ -41,6 +44,14 @@ std::string builtinSource(const std::string &Name) {
       return P.Source;
   ADD_FAILURE() << "unknown builtin " << Name;
   return "";
+}
+
+void checkTreeGolden(const std::string &Name) {
+  auto C = compileOk(builtinSource(Name));
+  if (!C->Ok)
+    return;
+  expectMatchesGolden(C->Forest->dump(C->Clocks, *C->Kernel, C->names()),
+                      "golden/" + Name + ".tree.txt");
 }
 
 void checkGolden(const std::string &Name) {
@@ -82,6 +93,16 @@ TEST_P(GoldenFigure13, TreeAndC) { checkGolden(GetParam()); }
 
 INSTANTIATE_TEST_SUITE_P(Pinned, GoldenFigure13,
                          ::testing::ValuesIn(PinnedPrograms),
+                         [](const auto &Info) {
+                           return std::string(Info.param);
+                         });
+
+class GoldenFigure13Tree : public ::testing::TestWithParam<const char *> {};
+
+TEST_P(GoldenFigure13Tree, Tree) { checkTreeGolden(GetParam()); }
+
+INSTANTIATE_TEST_SUITE_P(Pinned, GoldenFigure13Tree,
+                         ::testing::ValuesIn(TreeOnlyPrograms),
                          [](const auto &Info) {
                            return std::string(Info.param);
                          });
