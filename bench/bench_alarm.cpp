@@ -11,7 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Driver.h"
-#include "interp/StepExecutor.h"
+#include "interp/VmExecutor.h"
 #include "programs/Programs.h"
 
 #include <chrono>
@@ -42,11 +42,13 @@ int main() {
     double Times[2];
     uint64_t Guards[2];
     for (int ModeIdx = 0; ModeIdx < 2; ++ModeIdx) {
-      ExecMode Mode = ModeIdx ? ExecMode::Nested : ExecMode::Flat;
-      StepExecutor Exec(*C->Kernel, C->Step);
+      CompiledStep CS = CompiledStep::build(
+          *C->Kernel, C->Step,
+          ModeIdx ? StepLayout::Nested : StepLayout::Flat);
+      VmExecutor Exec(CS);
       RandomEnvironment Env(7, Permille);
       auto T0 = std::chrono::steady_clock::now();
-      Exec.run(Env, Steps, Mode);
+      Exec.run(Env, Steps);
       auto T1 = std::chrono::steady_clock::now();
       Times[ModeIdx] =
           std::chrono::duration<double, std::milli>(T1 - T0).count();

@@ -9,7 +9,7 @@
 
 #include "codegen/CEmitter.h"
 #include "driver/Driver.h"
-#include "interp/StepExecutor.h"
+#include "interp/VmExecutor.h"
 
 #include <cstdio>
 
@@ -61,8 +61,8 @@ process HALF =
   Env.tickAlways();
   for (unsigned I = 0; I < 8; ++I)
     Env.set("IN", I, Value::makeInt(static_cast<int>(I) + 1));
-  StepExecutor Exec(*C->Kernel, C->Step);
-  Exec.run(Env, 8, ExecMode::Nested);
+  VmExecutor Exec(C->Compiled);
+  Exec.run(Env, 8);
   std::printf("%s", formatEvents(Env.outputs()).c_str());
   std::printf("(OUT fires at instants with even IN: 2, 2+4=6, 6+6=12, "
               "12+8=20)\n");

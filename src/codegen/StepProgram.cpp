@@ -30,6 +30,13 @@ const char *sigc::stepOpName(StepOp Op) {
   return "<bad>";
 }
 
+unsigned StepProgram::numGuardedInstrs() const {
+  unsigned N = 0;
+  for (const StepInstr &In : Instrs)
+    N += In.Guard >= 0;
+  return N;
+}
+
 std::string StepProgram::dump() const {
   std::string Out;
   for (unsigned I = 0; I < Instrs.size(); ++I) {

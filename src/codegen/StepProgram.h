@@ -14,8 +14,9 @@
 ///   * nested: instructions are grouped into blocks that follow the clock
 ///     tree, so an absent clock skips its whole subtree (code a of
 ///     Figure 9 — the optimization the clock hierarchy enables).
-/// Both execute identically; the nested one never tests more guards than
-/// the flat one, which the differential oracle enforces on every run.
+/// CompiledStep lowers either one (StepLayout) onto the same VM. Both
+/// execute identically; the nested one never tests more guards than the
+/// flat one, which the differential oracle enforces on every run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,7 +52,7 @@ const char *stepOpName(StepOp Op);
 struct StepInstr {
   StepOp Op = StepOp::EvalFunc;
   /// Clock slot that must be present for the instruction to run; -1 runs
-  /// always. In nested mode the enclosing block guarantees the guard.
+  /// always. In the nested structure the enclosing block guarantees it.
   int Guard = -1;
   int Target = -1;
   int A = -1;
@@ -114,7 +115,11 @@ struct StepProgram {
   /// locals) read this instead of re-scanning the kernel signal table.
   std::vector<TypeKind> ValueSlotType;
 
-  /// Renders the flat instruction listing (tests, -dump-step).
+  /// Instructions with a guard: the guard tests one flat-structure
+  /// instant performs (Figure 9, code b).
+  unsigned numGuardedInstrs() const;
+
+  /// Renders the flat instruction listing (tests).
   std::string dump() const;
   /// Renders the nested block structure.
   std::string dumpNested() const;

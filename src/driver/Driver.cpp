@@ -30,24 +30,6 @@ const char *sigc::to_string(CompileStage Stage) {
   return "none";
 }
 
-const char *sigc::engineModeList() { return "vm, nested, flat"; }
-
-bool sigc::parseEngineMode(const std::string &Name, EngineMode &Mode,
-                           std::string &Diag) {
-  if (Name == "vm") {
-    Mode = EngineMode::Vm;
-  } else if (Name == "nested") {
-    Mode = EngineMode::Nested;
-  } else if (Name == "flat") {
-    Mode = EngineMode::Flat;
-  } else {
-    Diag = "unknown --mode '" + Name +
-           "'; valid modes: " + engineModeList();
-    return false;
-  }
-  return true;
-}
-
 const char *sigc::nativeModeList() { return "off, auto, force"; }
 
 bool sigc::parseNativeMode(const std::string &Name, NativeMode &Mode,

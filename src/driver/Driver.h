@@ -58,26 +58,15 @@ enum class CompileStage {
 /// \returns the canonical lowercase name ("parse", "clock-calculus", ...).
 const char *to_string(CompileStage Stage);
 
-/// Execution engines selectable with `signalc --mode`.
-enum class EngineMode { Vm, Nested, Flat };
-
-/// The canonical valid-mode list ("vm, nested, flat") for diagnostics.
-const char *engineModeList();
-
-/// Parses a --mode spelling. On an unknown mode returns false and fills
-/// \p Diag with a diagnostic naming every valid mode — the same shape as
-/// the --process typo diagnostic, so a typo never sends the user to the
-/// sources.
-bool parseEngineMode(const std::string &Name, EngineMode &Mode,
-                     std::string &Diag);
-
 enum class NativeMode : uint8_t; // native/TierController.h
 
 /// The canonical valid --native list ("off, auto, force") for diagnostics.
 const char *nativeModeList();
 
-/// Parses a --native spelling, with the parseEngineMode contract: an
-/// unknown mode returns false and \p Diag names every valid one.
+/// Parses a --native spelling. An unknown mode returns false and fills
+/// \p Diag with a diagnostic naming every valid one — the same shape as
+/// the --process typo diagnostic, so a typo never sends the user to the
+/// sources.
 bool parseNativeMode(const std::string &Name, NativeMode &Mode,
                      std::string &Diag);
 
@@ -93,7 +82,7 @@ bool parseCliUnsigned(const std::string &Flag, const char *Text, uint64_t Max,
 /// \returns the element of \p Known nearest to \p Arg by edit distance,
 /// or empty when nothing is plausibly close (distance > 1/3 of the
 /// flag's length, so `--simulte` suggests `--simulate` but line noise
-/// suggests nothing). Extends the --process/--mode typo idiom to the
+/// suggests nothing). Extends the --process/--native typo idiom to the
 /// driver's own flag table: an unknown top-level flag names its nearest
 /// neighbour instead of sending the user to --help.
 std::string suggestNearestFlag(const std::string &Arg,

@@ -25,10 +25,10 @@
 ///   --simulate N       run N instants with a random environment
 ///   --seed S           PRNG seed for --simulate
 ///   --batch B          run --simulate in stepN windows of B instants
-///                      (vm engine; bulk environment exchange)
+///                      (bulk environment exchange)
 ///   --record FILE      while simulating, record the trace (clock ticks,
 ///                      input values, outputs) to FILE in the binary
-///                      trace format (vm engine)
+///                      trace format
 ///   --frame W          instants per trace frame for --record (default 64)
 ///   --replay FILE      re-execute the trace recorded in FILE (mmap-backed)
 ///                      instead of drawing from a random environment,
@@ -57,8 +57,6 @@
 ///                      process, each a scalar lane over its own state
 ///                      block (instance j draws from seed S + j)
 ///   --threads T        shard the fleet across T worker threads
-///   --mode M           execution engine for --simulate: vm (default,
-///                      the slot-resolved bytecode VM), nested or flat
 ///   --native M         tiered native execution: off (default), auto
 ///                      (cache hit runs native immediately; a miss runs
 ///                      the VM while a background cc compiles, then
@@ -72,8 +70,10 @@
 ///   --stats            print the forest's inclusion-test counters (tests,
 ///                      and those the literal hulls left to a BDD walk)
 ///                      to stderr; after --simulate, also per-run
-///                      instruction and guard-test counters (and the
-///                      per-tier instant split when --native is on)
+///                      instruction and guard-test counters, next to
+///                      the guard tests a flat one-guard-per-instruction
+///                      step would run (Figure 9, code b), and the
+///                      per-tier instant split when --native is on
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,7 +81,6 @@
 #include "driver/Driver.h"
 #include "interp/FleetExecutor.h"
 #include "interp/LinkedExecutor.h"
-#include "interp/StepExecutor.h"
 #include "interp/VmExecutor.h"
 #include "io/Server.h"
 #include "io/TraceEnvironment.h"
@@ -116,8 +115,7 @@ void printUsage() {
                "         --emit-c --with-driver\n"
                "         --simulate N --seed S --batch B "
                "--fleet N --threads T\n"
-               "         --mode vm|nested|flat --stats\n"
-               "         --native off|auto|force --cache-dir DIR "
+               "         --stats --native off|auto|force --cache-dir DIR "
                "--tier-after N\n"
                "         --record FILE --frame W --replay FILE "
                "--replay-buffered\n"
@@ -127,14 +125,17 @@ void printUsage() {
                "BYTES\n");
 }
 
-void printStats(const std::string &Mode, unsigned Instants,
-                uint64_t Executed, uint64_t GuardTests) {
+/// One run's counters. \p FlatGuards is the number of guarded step
+/// instructions: a flat step tests each of them every instant, so
+/// flat_guard_tests shows the Figure-9 saving next to guard_tests.
+void printStats(const char *Mode, unsigned Instants, uint64_t Executed,
+                uint64_t GuardTests, uint64_t FlatGuards) {
   std::fprintf(stderr,
                "stats: mode=%s instants=%u executed=%llu guard_tests=%llu "
-               "instrs_per_instant=%.2f\n",
-               Mode.c_str(), Instants,
-               static_cast<unsigned long long>(Executed),
+               "flat_guard_tests=%llu instrs_per_instant=%.2f\n",
+               Mode, Instants, static_cast<unsigned long long>(Executed),
                static_cast<unsigned long long>(GuardTests),
+               static_cast<unsigned long long>(FlatGuards * Instants),
                static_cast<double>(Executed) / Instants);
 }
 
@@ -203,8 +204,6 @@ int main(int Argc, char **Argv) {
   unsigned DrainGraceMs = 0, SendBufBytes = 0;
   uint64_t BatchBudget = 0;
   uint64_t Seed = 1;
-  EngineMode Mode = EngineMode::Vm;
-  std::string ModeName = "vm";
   TierOptions Tier;
 
   for (int I = 1; I < Argc; ++I) {
@@ -345,14 +344,6 @@ int main(int Argc, char **Argv) {
         return 2;
       }
       Tier.TierAfter = static_cast<unsigned>(V);
-    } else if (Arg == "--mode") {
-      if (const char *V = next())
-        ModeName = V;
-      std::string Diag;
-      if (!parseEngineMode(ModeName, Mode, Diag)) {
-        std::fprintf(stderr, "signalc: %s\n", Diag.c_str());
-        return 2;
-      }
     } else if (Arg == "--stats") {
       Stats = true;
     } else if (Arg == "--help" || Arg == "-h") {
@@ -361,7 +352,7 @@ int main(int Argc, char **Argv) {
     } else if (!Arg.empty() && Arg[0] != '-') {
       File = Arg;
     } else {
-      // The --process/--mode typo idiom, extended to the flag table
+      // The --process/--native typo idiom, extended to the flag table
       // itself: a near-miss names its neighbour instead of sending the
       // user to --help.
       static const std::vector<std::string> KnownFlags = {
@@ -369,7 +360,7 @@ int main(int Argc, char **Argv) {
           "--dump-clocks", "--dump-tree", "--dump-tree-dot", "--dump-graph",
           "--dump-step", "--dump-interface", "--dump-link", "--emit-c",
           "--with-driver", "--simulate", "--seed", "--batch", "--fleet",
-          "--threads", "--mode", "--stats", "--record", "--frame",
+          "--threads", "--stats", "--record", "--frame",
           "--replay", "--replay-buffered", "--serve", "--max-sessions",
           "--serve-limit", "--resume", "--batch-budget", "--idle-timeout",
           "--write-timeout", "--drain-grace", "--sndbuf", "--native",
@@ -429,10 +420,6 @@ int main(int Argc, char **Argv) {
                    "signalc: warning: --process and the per-stage --dump-* "
                    "flags are ignored in --link mode (use --dump-interface "
                    "/ --dump-link)\n");
-    if (Mode != EngineMode::Vm)
-      std::fprintf(stderr,
-                   "signalc: warning: --mode is ignored in --link mode; "
-                   "the linked executor always runs the slot-VM\n");
     if (Fleet)
       std::fprintf(stderr,
                    "signalc: warning: --fleet is ignored in --link mode\n");
@@ -482,8 +469,13 @@ int main(int Argc, char **Argv) {
       std::printf("linked simulation (%u instants, seed %llu):\n%s",
                   Simulate, static_cast<unsigned long long>(Seed),
                   formatEvents(Env.outputs()).c_str());
-      if (Stats)
-        printStats("vm", Simulate, Exec.executed(), Exec.guardTests());
+      if (Stats) {
+        uint64_t FlatGuards = 0;
+        for (const LinkUnit &U : Sys.Units)
+          FlatGuards += U.Comp->Step.numGuardedInstrs();
+        printStats("vm", Simulate, Exec.executed(), Exec.guardTests(),
+                   FlatGuards);
+      }
     }
     return 0;
   }
@@ -503,6 +495,7 @@ int main(int Argc, char **Argv) {
 
   const StringInterner &Names = C->names();
   std::string ProcName(Names.spelling(C->Decl->Name));
+  const uint64_t FlatGuards = C->Step.numGuardedInstrs();
   // Status goes to stderr so stdout carries only the requested artifacts
   // (in particular, `--emit-c > file.c` must produce compilable C).
   std::fprintf(stderr,
@@ -621,7 +614,7 @@ int main(int Argc, char **Argv) {
                 At, ReplayBuffered ? "buffered" : "mmap",
                 static_cast<unsigned long long>(Env.outputCount()));
     if (Stats && At)
-      printStats("vm", At, Exec.executed(), Exec.guardTests());
+      printStats("vm", At, Exec.executed(), Exec.guardTests(), FlatGuards);
     return 0;
   }
 
@@ -629,9 +622,6 @@ int main(int Argc, char **Argv) {
     // Record: a normal random simulation whose exchanged windows are
     // mirrored into a trace file. Always the batched VM — recording
     // frames flush as bulk windows complete.
-    if (Mode != EngineMode::Vm)
-      std::fprintf(stderr, "signalc: warning: --record always runs the "
-                           "batched vm engine; --mode ignored\n");
     if (Tier.Mode != NativeMode::Off)
       std::fprintf(stderr, "signalc: warning: --native is ignored while "
                            "recording (the recorder runs the vm)\n");
@@ -665,7 +655,8 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(Seed),
                 formatEvents(Rnd.outputs()).c_str());
     if (Stats)
-      printStats("vm", Simulate, Exec.executed(), Exec.guardTests());
+      printStats("vm", Simulate, Exec.executed(), Exec.guardTests(),
+                 FlatGuards);
     return 0;
   }
   if (!RecordFile.empty())
@@ -677,9 +668,6 @@ int main(int Argc, char **Argv) {
     // its own deterministic environment (seed S + j), run as scalar
     // lanes sharded over --threads workers. Traces print per instance in
     // instance order; counters are fleet-wide sums.
-    if (Mode != EngineMode::Vm)
-      std::fprintf(stderr, "signalc: warning: --fleet always runs the "
-                           "slot-VM fleet engine; --mode ignored\n");
     std::vector<std::unique_ptr<RandomEnvironment>> Owned;
     std::vector<Environment *> Envs;
     for (unsigned J = 0; J < Fleet; ++J) {
@@ -727,20 +715,14 @@ int main(int Argc, char **Argv) {
                   formatEvents(Owned[J]->outputs()).c_str());
     if (Stats)
       printStats("fleet", Simulate * Fleet, Exec.executed(),
-                 Exec.guardTests());
+                 Exec.guardTests(), FlatGuards);
     return 0;
   }
 
   if (Simulate) {
-    if (Batch > 1 && Mode != EngineMode::Vm)
-      std::fprintf(stderr, "signalc: warning: --batch needs the vm engine; "
-                           "running unbatched\n");
-    if (Tier.Mode != NativeMode::Off && Mode != EngineMode::Vm)
-      std::fprintf(stderr, "signalc: warning: --native needs the vm engine; "
-                           "running interpreted\n");
     RandomEnvironment Env(Seed);
     uint64_t Executed = 0, GuardTests = 0;
-    if (Mode == EngineMode::Vm && Tier.Mode != NativeMode::Off) {
+    if (Tier.Mode != NativeMode::Off) {
       // Tiered scalar run: the VM carries the session until the cache
       // hit / background compile is ready, then the session hot-swaps
       // onto the native step at a batch boundary (a pure state copy —
@@ -773,7 +755,7 @@ int main(int Argc, char **Argv) {
       GuardTests = NX ? NX->guardTests() : Vm.guardTests();
       if (Stats)
         printTierStats(TC);
-    } else if (Mode == EngineMode::Vm) {
+    } else {
       VmExecutor Exec(C->Compiled);
       if (Batch > 1)
         Exec.runBatched(Env, Simulate, Batch);
@@ -781,18 +763,12 @@ int main(int Argc, char **Argv) {
         Exec.run(Env, Simulate);
       Executed = Exec.executed();
       GuardTests = Exec.guardTests();
-    } else {
-      StepExecutor Exec(*C->Kernel, C->Step);
-      Exec.run(Env, Simulate,
-               Mode == EngineMode::Flat ? ExecMode::Flat : ExecMode::Nested);
-      Executed = Exec.executed();
-      GuardTests = Exec.guardTests();
     }
     std::printf("simulation (%u instants, seed %llu):\n%s", Simulate,
                 static_cast<unsigned long long>(Seed),
                 formatEvents(Env.outputs()).c_str());
     if (Stats)
-      printStats(ModeName, Simulate, Executed, GuardTests);
+      printStats("vm", Simulate, Executed, GuardTests, FlatGuards);
   }
   return 0;
 }

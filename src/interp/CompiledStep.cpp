@@ -61,29 +61,49 @@ public:
                CompiledStep &Out)
       : Prog(Prog), Step(Step), Out(Out) {}
 
-  /// Emits \p BlockIdx and its subtree into Out.Code.
+  /// Emits \p BlockIdx and its subtree into Out.Code (nested layout).
   void emitBlock(int BlockIdx) {
     const StepBlock &B = Step.Blocks[BlockIdx];
-    int SkipAt = -1;
-    if (B.GuardSlot >= 0) {
-      SkipAt = static_cast<int>(Out.Code.size());
-      VmInstr Skip;
-      Skip.Op = VmOp::SkipIfAbsent;
-      Skip.Weight = 0; // Guard tests have their own counter.
-      Skip.A = B.GuardSlot;
-      Out.Code.push_back(Skip);
-    }
+    int SkipAt = openGuard(B.GuardSlot);
     for (const StepBlock::Item &It : B.Items) {
       if (It.IsBlock)
         emitBlock(It.Index);
       else
         emitInstr(Step.Instrs[It.Index]);
     }
+    closeGuard(SkipAt);
+  }
+
+  /// Emits every step instruction in schedule order, each behind its own
+  /// guard (flat layout).
+  void emitFlat() {
+    for (const StepInstr &In : Step.Instrs) {
+      int SkipAt = openGuard(In.Guard);
+      emitInstr(In);
+      closeGuard(SkipAt);
+    }
+  }
+
+private:
+  /// Emits a SkipIfAbsent on \p GuardSlot (none when it is -1) and
+  /// returns its position for closeGuard, or -1.
+  int openGuard(int GuardSlot) {
+    if (GuardSlot < 0)
+      return -1;
+    VmInstr Skip;
+    Skip.Op = VmOp::SkipIfAbsent;
+    Skip.Weight = 0; // Guard tests have their own counter.
+    Skip.A = GuardSlot;
+    Out.Code.push_back(Skip);
+    return static_cast<int>(Out.Code.size()) - 1;
+  }
+
+  /// Points the skip at \p SkipAt past everything emitted since.
+  void closeGuard(int SkipAt) {
     if (SkipAt >= 0)
       Out.Code[SkipAt].Aux = static_cast<int32_t>(Out.Code.size());
   }
 
-private:
   /// A flattened operand: a value/scratch slot or a constant-pool entry.
   struct Operand {
     bool IsConst = false;
@@ -290,7 +310,7 @@ private:
 } // namespace
 
 CompiledStep CompiledStep::build(const KernelProgram &Prog,
-                                 const StepProgram &Step) {
+                                 const StepProgram &Step, StepLayout Layout) {
   CompiledStep CS;
   CS.NumClockSlots = Step.NumClockSlots;
   CS.NumValueSlots = Step.NumValueSlots;
@@ -302,7 +322,9 @@ CompiledStep CompiledStep::build(const KernelProgram &Prog,
   CS.ValueSlotType = Step.ValueSlotType;
 
   StepLowering Lower(Prog, Step, CS);
-  if (Step.RootBlock >= 0)
+  if (Layout == StepLayout::Flat)
+    Lower.emitFlat();
+  else if (Step.RootBlock >= 0)
     Lower.emitBlock(Step.RootBlock);
 
   // Flush order for batched output exchange: each output descriptor, in

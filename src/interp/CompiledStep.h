@@ -14,15 +14,17 @@
 ///     per-instant heap allocation in the steady state,
 ///   * the nested block tree is linearized into a single instruction
 ///     stream with skip-offsets: an absent clock advances the PC past its
-///     whole subtree in O(1) instead of recursing through runBlock,
+///     whole subtree in O(1) instead of recursing through the blocks,
 ///   * partially-absent clock operands (slot -1) and constant "when"
 ///     arms are resolved at build time into dedicated opcodes, so the
 ///     hot loop never re-derives them.
 ///
-/// The guard economics are preserved exactly: one SkipIfAbsent per nested
-/// block, instructions inside run unguarded. VmExecutor's GuardTests and
-/// Executed counters therefore match nested StepExecutor runs bit for bit
-/// — the regression tests pin that equality.
+/// The same lowering emits both control structures of Figure 9 (see
+/// StepLayout): nested, one SkipIfAbsent per block of the clock tree with
+/// the instructions inside unguarded (code a), or flat, one SkipIfAbsent
+/// per guarded step instruction (code b). Both run on the one VM with
+/// identical traces and Executed counts; only GuardTests differ, and the
+/// flat count is exactly instants x StepProgram::numGuardedInstrs().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,12 +73,18 @@ struct VmInstr {
   /// Contribution to the Executed counter. A step instruction lowered to
   /// several VM instructions (a multi-operator Func tree) counts once:
   /// the root carries 1, interior scratch computations carry 0, keeping
-  /// the counter comparable with the nested StepExecutor's.
+  /// the counter one per executed step instruction in either layout.
   int8_t Weight = 1;
   int32_t Target = -1;
   int32_t A = -1;
   int32_t B = -1;
   int32_t Aux = -1;
+};
+
+/// Control structure of a CompiledStep (the two codes of Figure 9).
+enum class StepLayout : uint8_t {
+  Nested, ///< One guard per clock-tree block (code a).
+  Flat,   ///< One guard per guarded step instruction (code b).
 };
 
 /// A slot-resolved, allocation-free compiled reactive step.
@@ -86,7 +94,7 @@ struct CompiledStep {
   unsigned NumTempSlots = 0;  ///< Scratch slots appended after the values.
   std::vector<Value> StateInit;
 
-  std::vector<VmInstr> Code; ///< Linearized nested structure.
+  std::vector<VmInstr> Code; ///< Linearized control structure.
   std::vector<Value> Consts; ///< Constant pool.
 
   /// Environment-facing descriptors, copied from the StepProgram so a
@@ -110,9 +118,11 @@ struct CompiledStep {
   /// reproducing exactly the event sequence an unbatched run records.
   std::vector<int32_t> OutputFlushOrder;
 
-  /// Builds the slot-resolved step from a compiled StepProgram.
+  /// Builds the slot-resolved step from a compiled StepProgram, in the
+  /// control structure \p Layout.
   static CompiledStep build(const KernelProgram &Prog,
-                            const StepProgram &Step);
+                            const StepProgram &Step,
+                            StepLayout Layout = StepLayout::Nested);
 
   /// Renders the instruction listing (tests, --dump-vm).
   std::string dump() const;

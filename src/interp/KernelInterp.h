@@ -4,8 +4,9 @@
 /// A reference interpreter of kernel programs that is deliberately
 /// *independent of the scheduler and code generator*: each instant it
 /// solves presence and values by chaotic fixpoint iteration over the
-/// equations instead of following a precomputed order. Differential tests
-/// run it against the StepExecutor on random traces — any divergence
+/// equations instead of following a precomputed order. It is the reference
+/// semantics: differential tests run it against the slot-VM (both
+/// CompiledStep layouts) on random traces — any divergence
 /// means the dependency graph, the schedule or the emitted step is wrong.
 ///
 /// Clock presence still comes from the resolved forest (free roots are

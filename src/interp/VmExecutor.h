@@ -20,9 +20,11 @@
 /// and binding: one executor steps any number of instances in turn,
 /// which is all a fleet is (see FleetExecutor).
 ///
-/// Guard/instruction counters mirror the nested StepExecutor exactly, so
-/// benchmarks and regression tests can compare the two modes' guard
-/// economics number for number.
+/// Guard/instruction counters are exact for either CompiledStep layout:
+/// one guard test per executed SkipIfAbsent, one Executed per step
+/// instruction. Running the nested and the flat build over one stimulus
+/// therefore compares the two Figure-9 control structures number for
+/// number.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -119,8 +121,8 @@ public:
     return WatchBuf[Watch * BatchCap + I] != 0;
   }
 
-  /// Guard tests performed so far; equals the nested StepExecutor's count
-  /// on the same trace (one test per block entry).
+  /// Guard tests performed so far: one per SkipIfAbsent reached (a block
+  /// entry in the nested layout, a guarded instruction in the flat one).
   uint64_t guardTests() const { return GuardTests; }
   /// Instructions actually executed so far (skip tests excluded).
   uint64_t executed() const { return Executed; }

@@ -191,6 +191,11 @@ LinkResult sigc::linkCompiled(std::vector<LinkUnit> Units,
     // Resolve the descriptor indices once, here, so every executor (and
     // any other runtime wiring) addresses the channel by array index.
     Compilation &Prod = *Sys->Units[Ch.Producer].Comp;
+    if (Prod.Step.SignalClockSlot[Ch.ProducerSig] < 0)
+      return fail("channel '" + Ch.Name + "': exporter '" +
+                  Sys->Units[Ch.Producer].Name +
+                  "' proved the signal's clock null; the connection is "
+                  "dead");
     for (size_t OI = 0; OI < Prod.Step.Outputs.size(); ++OI)
       if (Prod.Step.Outputs[OI].Sig == Ch.ProducerSig)
         Ch.ProducerOutput = static_cast<int>(OI);

@@ -241,8 +241,8 @@ inline Value evalBinaryValue(BinaryOp Op, const Value &L, const Value &R) {
 }
 
 /// Evaluates a Func operator tree given the values of its signal operands.
-/// Used by the fixpoint interpreter, the legacy step executor and constant
-/// folding; the slot-VM flattens the same tree to postfix bytecode instead.
+/// Used by the fixpoint interpreter and constant folding; the slot-VM
+/// flattens the same tree to three-address bytecode instead.
 Value evalFuncTree(const KernelEq &Eq, const std::vector<Value> &ArgValues);
 
 } // namespace sigc

@@ -8,7 +8,6 @@
 #include "interp/FleetExecutor.h"
 #include "interp/KernelInterp.h"
 #include "interp/LinkedExecutor.h"
-#include "interp/StepExecutor.h"
 #include "interp/VmExecutor.h"
 #include "io/TraceEnvironment.h"
 #include "link/LinkEmitter.h"
@@ -422,28 +421,25 @@ OracleReport sigc::checkDifferential(const std::string &Name,
     return R;
   }
 
-  // Path 2: flat step program.
+  // Path 2: the flat layout of the same lowering (Figure 9, code b), one
+  // guard per guarded step instruction, on the same VM.
   RandomEnvironment EnvFlat(Options.EnvSeed, Options.TickPermille);
-  StepExecutor ExecFlat(*C->Kernel, C->Step);
-  ExecFlat.run(EnvFlat, Options.Instants, ExecMode::Flat);
-
-  // Path 3: nested step program.
-  RandomEnvironment EnvNested(Options.EnvSeed, Options.TickPermille);
-  StepExecutor ExecNested(*C->Kernel, C->Step);
-  ExecNested.run(EnvNested, Options.Instants, ExecMode::Nested);
-  R.GuardTestsNested = ExecNested.guardTests();
-  R.ExecutedNested = ExecNested.executed();
+  CompiledStep Flat =
+      CompiledStep::build(*C->Kernel, C->Step, StepLayout::Flat);
+  VmExecutor ExecFlat(Flat);
+  ExecFlat.run(EnvFlat, Options.Instants);
   R.GuardTestsFlat = ExecFlat.guardTests();
   R.ExecutedFlat = ExecFlat.executed();
 
-  // Path 4: the slot-resolved VM (the Compilation's single lowered IR).
+  // Path 3: the slot-resolved VM over the Compilation's nested lowering
+  // (code a).
   RandomEnvironment EnvVm(Options.EnvSeed, Options.TickPermille);
   VmExecutor ExecVm(C->Compiled);
   ExecVm.run(EnvVm, Options.Instants);
   R.GuardTestsVm = ExecVm.guardTests();
   R.ExecutedVm = ExecVm.executed();
 
-  // Path 4b: the same VM batched — stepN windows over the bulk
+  // Path 3b: the same VM batched — stepN windows over the bulk
   // environment exchange must reproduce the unbatched run bit for bit,
   // counters included.
   RandomEnvironment EnvVmB(Options.EnvSeed, Options.TickPermille);
@@ -470,7 +466,7 @@ OracleReport sigc::checkDifferential(const std::string &Name,
     return R;
   }
 
-  // Path 4t: record -> replay through the trace format. The batched VM
+  // Path 3t: record -> replay through the trace format. The batched VM
   // run is mirrored into an in-memory trace; replaying that trace as the
   // environment — at a *different* batch size — must reproduce the
   // events and counters of the live run, the replayed outputs must match
@@ -569,9 +565,9 @@ OracleReport sigc::checkDifferential(const std::string &Name,
     }
   }
 
-  // Path 4c: the fleet executor — FleetInstances instances of the same
+  // Path 4: the fleet executor — FleetInstances instances of the same
   // bytecode as N scalar lanes sharded across threads, batched through
-  // the same stepN windows as 4b. Instance j is seeded EnvSeed+j
+  // the same stepN windows as 3b. Instance j is seeded EnvSeed+j
   // (instance 0 thus replays the scalar legs' inputs); every instance's
   // trace must equal a scalar VM run of that instance alone, and the
   // fleet's counters must be exactly the per-instance sums. Path 6
@@ -601,37 +597,30 @@ OracleReport sigc::checkDifferential(const std::string &Name,
                       Source);
     return R;
   }
-  D = compareTraces("step-flat", EnvFlat.outputs(), "step-nested",
-                    EnvNested.outputs());
-  if (!D.Equal) {
-    R.Error =
-        failure(Name, "flat vs nested step divergence", D.Report, Source);
-    return R;
-  }
-  D = compareTraces("step-nested", EnvNested.outputs(), "step-vm",
+  D = compareTraces("step-flat", EnvFlat.outputs(), "step-vm",
                     EnvVm.outputs());
   if (!D.Equal) {
-    R.Error = failure(Name, "nested vs slot-VM divergence", D.Report, Source);
+    R.Error = failure(Name, "flat vs nested slot-VM divergence", D.Report,
+                      Source);
     return R;
   }
-  // The VM linearizes the nested structure: its guard economics must be
-  // exactly the nested executor's, never flat's.
-  if (R.GuardTestsVm != R.GuardTestsNested ||
-      R.ExecutedVm != R.ExecutedNested) {
-    R.Error = failure(
-        Name, "slot-VM guard/instruction counters diverge from nested",
-        "nested: guards=" + std::to_string(R.GuardTestsNested) +
-            " executed=" + std::to_string(R.ExecutedNested) +
-            "\nvm:     guards=" + std::to_string(R.GuardTestsVm) +
-            " executed=" + std::to_string(R.ExecutedVm) + "\n",
-        Source);
+  // The flat layout tests every guarded step instruction every instant.
+  uint64_t FlatExpected =
+      uint64_t(Options.Instants) * C->Step.numGuardedInstrs();
+  if (R.GuardTestsFlat != FlatExpected) {
+    R.Error = failure(Name, "flat guard tests are not one per guarded "
+                            "instruction per instant",
+                      "expected: guards=" + std::to_string(FlatExpected) +
+                          "\nflat:     guards=" +
+                          std::to_string(R.GuardTestsFlat) + "\n",
+                      Source);
     return R;
   }
   // Figure 9: guards on the clock tree (code a) must not test more than
   // one guard per instruction (code b) does.
-  if (R.GuardTestsNested > R.GuardTestsFlat) {
+  if (R.GuardTestsVm > R.GuardTestsFlat) {
     R.Error = failure(Name, "nested step tests more guards than flat",
-                      "nested: guards=" + std::to_string(R.GuardTestsNested) +
+                      "nested: guards=" + std::to_string(R.GuardTestsVm) +
                           "\nflat:   guards=" +
                           std::to_string(R.GuardTestsFlat) + "\n",
                       Source);
@@ -652,8 +641,7 @@ OracleReport sigc::checkDifferential(const std::string &Name,
       return R;
     }
     R.CRoundTripRan = true;
-    D = compareTraces("step-nested", EnvNested.outputs(), "emitted-c",
-                      CEvents);
+    D = compareTraces("step-vm", EnvVm.outputs(), "emitted-c", CEvents);
     if (!D.Equal) {
       R.Error = failure(Name, "in-process vs emitted-C divergence", D.Report,
                         Source);
@@ -1060,11 +1048,11 @@ OracleReport sigc::checkLinkedDifferential(
     return R;
   }
 
-  // Path 1b: monolithic nested step program.
+  // Path 1b: the monolithic compilation on the slot-VM.
   RandomEnvironment EnvMono(Options.EnvSeed, Options.TickPermille);
   RenamedClockEnvironment EnvMonoRenamed(EnvMono, ClockMap);
-  StepExecutor ExecMono(*Mono->Kernel, Mono->Step);
-  ExecMono.run(EnvMonoRenamed, Options.Instants, ExecMode::Nested);
+  VmExecutor ExecMono(Mono->Compiled);
+  ExecMono.run(EnvMonoRenamed, Options.Instants);
   R.GuardTestsMono = ExecMono.guardTests();
 
   TraceDiff D = compareTraces("mono-interp", EnvRefRenamed.outputs(),

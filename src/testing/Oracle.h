@@ -6,19 +6,19 @@
 /// execution path the compiler has —
 ///
 ///   1. the reference fixpoint interpreter (KernelInterp),
-///   2. the compiled step program, flat control structure,
-///   3. the compiled step program, nested control structure,
-///   4. the slot-resolved VM (CompiledStep through VmExecutor), both
-///      instant by instant and batched through the bulk environment
-///      exchange (stepN windows),
-///   5. the FleetExecutor — N instances of the same bytecode run as
+///   2. the slot-resolved VM (VmExecutor) over the flat CompiledStep
+///      layout, one guard per guarded step instruction (Figure 9, code b),
+///   3. the same VM over the Compilation's nested CompiledStep (code a),
+///      both instant by instant and batched through the bulk
+///      environment exchange (stepN windows),
+///   4. the FleetExecutor — N instances of the same bytecode run as
 ///      scalar lanes sharded across threads, each instance pinned
 ///      trace- and counter-identical to a scalar VM run,
-///   6. optionally, the emitted C — lowered from the same CompiledStep
+///   5. optionally, the emitted C — lowered from the same CompiledStep
 ///      bytecode — round-tripped through the host C compiler (-std=c99
 ///      -Wall -Werror) and executed as a subprocess, its generated
 ///      guard/executed counters pinned equal to the VM's,
-///   7. optionally, the native tier's hot swap: the same bytecode
+///   6. optionally, the native tier's hot swap: the same bytecode
 ///      compiled to a shared object through the production cache path
 ///      and, at every batch boundary k, a run that interprets k
 ///      instants then finishes on the dlopen'd step function — pinned
@@ -27,7 +27,8 @@
 ///
 /// and demand bit-identical output traces. It also holds the Figure-9
 /// claim: the nested structure never tests more guards than the flat
-/// one. Any divergence is a bug in the clock hierarchy, the schedule, the
+/// one, which tests exactly one guard per guarded step instruction per
+/// instant. Any divergence is a bug in the clock hierarchy, the schedule, the
 /// step compiler or the C emitter, and the report carries the program
 /// source plus the first differing events so the failure reproduces from
 /// the test log alone.
@@ -89,22 +90,20 @@ struct OracleReport {
   /// On failure: which paths diverged, the first differing events, and
   /// the program source (empty when Ok).
   std::string Error;
-  /// Guard-test and instruction counters. The oracle itself fails a run
-  /// whose nested step tests more guards than its flat one (Figure 9)
-  /// and pins the VM's guard economics to the nested structure's
-  /// exactly.
+  /// Guard-test and instruction counters of the flat and the nested
+  /// (Vm) layout. The oracle itself fails a run whose nested step tests
+  /// more guards than its flat one (Figure 9), or whose flat step does
+  /// not test exactly instants x guarded step instructions.
   uint64_t GuardTestsFlat = 0;
-  uint64_t GuardTestsNested = 0;
   uint64_t GuardTestsVm = 0;
   uint64_t ExecutedFlat = 0;
-  uint64_t ExecutedNested = 0;
   uint64_t ExecutedVm = 0;
   /// Counters of the emitted-C leg, parsed from the generated program's
   /// own state struct and pinned equal to the VM's (0 until the
   /// round-trip runs).
   uint64_t GuardTestsC = 0;
   uint64_t ExecutedC = 0;
-  /// Linked-oracle counters: the monolithic nested run vs the linked
+  /// Linked-oracle counters: the monolithic VM run vs the linked
   /// system (sum over units). Zero for single-process reports.
   uint64_t GuardTestsMono = 0;
   uint64_t GuardTestsLinked = 0;
@@ -147,8 +146,8 @@ const std::string &hostCCompilerCommand();
 // program — the executable form of the claim that interface matching can
 // replace global clock resolution. Verified paths:
 //
-//   1. the monolithic compilation's nested step program (itself cross-
-//      checked against the fixpoint interpreter),
+//   1. the monolithic compilation on the slot-VM (itself cross-checked
+//      against the fixpoint interpreter),
 //   2. the LinkedExecutor over the separately compiled units, both
 //      instant by instant and batched per unit (stepN windows),
 //   3. optionally, the linked C emission round-tripped through the host

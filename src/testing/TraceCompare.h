@@ -2,8 +2,8 @@
 ///
 /// \file
 /// Canonicalization and comparison of output traces for differential
-/// testing. The three execution paths (fixpoint interpreter, flat step,
-/// nested step) and the emitted-C harness may write the outputs of one
+/// testing. The execution paths (fixpoint interpreter, flat and nested
+/// VM layouts) and the emitted-C harness may write the outputs of one
 /// instant in different orders; a canonical trace sorts events of the
 /// same instant by signal name so comparisons see only semantic
 /// divergence.

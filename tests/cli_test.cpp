@@ -9,6 +9,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "driver/Driver.h"
+#include "programs/Programs.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -166,6 +169,33 @@ TEST(Cli, FleetStatsSumCountersAcrossInstances) {
       << Two.Output;
 }
 
+namespace {
+
+/// The value of ` Key=` on the `stats: mode=` line of \p Output, or -1.
+long long statsField(const std::string &Output, const std::string &Key) {
+  size_t Line = Output.find("stats: mode=");
+  if (Line == std::string::npos)
+    return -1;
+  size_t End = Output.find('\n', Line);
+  size_t At = Output.find(" " + Key + "=", Line);
+  if (At == std::string::npos || At > End)
+    return -1;
+  return std::atoll(Output.c_str() + At + Key.size() + 2);
+}
+
+} // namespace
+
+TEST(Cli, ModeFlagIsAnUnknownOption) {
+  // One engine runs both Figure-9 layouts; the engine switch is gone and
+  // is diagnosed like any other unknown flag.
+  const std::string Flag = "--" "mode"; // The retired switch's spelling.
+  CliResult R = runSignalc("--builtin FIG5_ALARM " + Flag + " flat");
+  EXPECT_EQ(R.Exit, 2) << R.Output;
+  EXPECT_NE(R.Output.find("unknown option '" + Flag + "'"), std::string::npos)
+      << R.Output;
+  EXPECT_NE(R.Output.find("usage: signalc"), std::string::npos) << R.Output;
+}
+
 TEST(Cli, UnknownOptionExitsTwo) {
   CliResult R = runSignalc("--builtin FIG5_ALARM --no-such-flag");
   EXPECT_EQ(R.Exit, 2) << R.Output;
@@ -206,6 +236,37 @@ std::string tempTracePath(const char *Tag) {
 }
 
 } // namespace
+
+TEST(Cli, StatsReportFlatGuardTestsOnEveryRun) {
+  // flat_guard_tests is what a one-guard-per-instruction step would test
+  // (Figure 9, code b): instants x guarded step instructions, next to the
+  // nested step's guard_tests, on scalar, fleet, record and replay runs.
+  auto C = sigc::compileSource("<cli>", sigc::alarmFigure5Source());
+  ASSERT_TRUE(C->Ok);
+  const long long PerInstant = C->Step.numGuardedInstrs();
+  ASSERT_GT(PerInstant, 0);
+
+  std::string Path = tempTracePath("flatstats");
+  struct Case {
+    std::string Args;
+    long long Instants;
+  } Cases[] = {
+      {"--simulate 16 --seed 9", 16},
+      {"--simulate 16 --seed 9 --fleet 2", 32},
+      {"--simulate 16 --seed 9 --record " + Path, 16},
+      {"--replay " + Path, 16},
+  };
+  for (const Case &K : Cases) {
+    CliResult R = runSignalc("--builtin FIG5_ALARM --stats " + K.Args);
+    ASSERT_EQ(R.Exit, 0) << K.Args << "\n" << R.Output;
+    long long Guards = statsField(R.Output, "guard_tests");
+    long long Flat = statsField(R.Output, "flat_guard_tests");
+    EXPECT_EQ(Flat, K.Instants * PerInstant) << K.Args << "\n" << R.Output;
+    EXPECT_GT(Guards, 0) << K.Args << "\n" << R.Output;
+    EXPECT_LT(Guards, Flat) << K.Args << "\n" << R.Output;
+  }
+  std::remove(Path.c_str());
+}
 
 TEST(Cli, RecordThenReplayRoundTripsFromTheCli) {
   std::string Path = tempTracePath("roundtrip");

@@ -2,6 +2,7 @@
 
 #include "TestUtil.h"
 #include "codegen/CEmitter.h"
+#include "interp/VmExecutor.h"
 #include "programs/Programs.h"
 
 #include <gtest/gtest.h>
@@ -175,6 +176,35 @@ TEST(CompiledStep, BuiltinsOpenEachGuardBlockAboutOnce) {
     EXPECT_LE(Skips, (5 * GuardSlots.size() + 3) / 4)
         << Name << ": " << Skips << " SkipIfAbsent over "
         << GuardSlots.size() << " guard slots";
+  }
+}
+
+TEST(CompiledStep, FlatLayoutGuardsEachGuardedInstructionOnce) {
+  // Figure 9, code b: the flat build puts every guarded step instruction
+  // behind its own SkipIfAbsent, and runs the nested build's trace.
+  std::vector<std::pair<std::string, std::string>> Programs = {
+      {"FIG5_ALARM", alarmFigure5Source()}};
+  for (const Figure13Program &P : figure13Suite())
+    Programs.emplace_back(P.Name, P.Source);
+  ASSERT_EQ(Programs.size(), 8u);
+  for (const auto &[Name, Source] : Programs) {
+    auto C = compileOk(Source);
+    if (!C->Ok)
+      continue;
+    CompiledStep Flat =
+        CompiledStep::build(*C->Kernel, C->Step, StepLayout::Flat);
+    size_t Skips = 0;
+    for (const VmInstr &In : Flat.Code)
+      Skips += In.Op == VmOp::SkipIfAbsent;
+    EXPECT_EQ(Skips, C->Step.numGuardedInstrs()) << Name;
+
+    RandomEnvironment EnvFlat(23), EnvNested(23);
+    VmExecutor FlatVm(Flat), NestedVm(C->Compiled);
+    FlatVm.run(EnvFlat, 32);
+    NestedVm.run(EnvNested, 32);
+    EXPECT_EQ(formatEvents(EnvFlat.outputs()),
+              formatEvents(EnvNested.outputs()))
+        << Name;
   }
 }
 

@@ -4,10 +4,10 @@
 ///   * the Figure-13 builtin program suite (plus the Figure-5 alarm),
 ///   * 100+ random well-clocked programs,
 ///   * the emitted-C round-trip, when a host C compiler is present,
-/// asserting that the fixpoint interpreter, the flat step program, the
-/// nested step program and the compiled C all produce identical traces —
-/// the executable form of the paper's claim that the hierarchization
-/// preserves the program's semantics (Section 3.4).
+/// asserting that the fixpoint interpreter, the VM over the flat and the
+/// nested CompiledStep layouts and the compiled C all produce identical
+/// traces — the executable form of the paper's claim that the
+/// hierarchization preserves the program's semantics (Section 3.4).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,7 +101,7 @@ TEST(DifferentialBuiltins, Figure5Alarm) {
   O.EnvSeed = 7;
   OracleReport R = checkDifferential("FIG5_ALARM", alarmFigure5Source(), O);
   EXPECT_TRUE(R.Ok) << R.Error;
-  EXPECT_LE(R.GuardTestsNested, R.GuardTestsFlat);
+  EXPECT_LE(R.GuardTestsVm, R.GuardTestsFlat);
 }
 
 namespace sigc {
@@ -131,7 +131,7 @@ TEST_P(Figure13Differential, AllPathsAgree) {
   // Figure 9 on every builtin: the clock-clustered schedule lets the
   // nested step share block guards, so it tests at most as many guards
   // as the flat one (the oracle fails the run otherwise, too).
-  EXPECT_LE(R.GuardTestsNested, R.GuardTestsFlat) << P.Name;
+  EXPECT_LE(R.GuardTestsVm, R.GuardTestsFlat) << P.Name;
 }
 
 INSTANTIATE_TEST_SUITE_P(Suite, Figure13Differential,

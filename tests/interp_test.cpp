@@ -2,14 +2,14 @@
 ///
 /// The first group reproduces the timing diagrams of the paper's
 /// Figures 1–4 as scripted traces; the second group runs differential
-/// tests: flat step execution == nested step execution == reference
-/// fixpoint interpretation, on scripted and random programs.
+/// tests: the slot-VM over the flat CompiledStep layout == the VM over the
+/// nested layout == reference fixpoint interpretation, on scripted and
+/// random programs.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 #include "interp/KernelInterp.h"
-#include "interp/StepExecutor.h"
 #include "interp/VmExecutor.h"
 
 #include <gtest/gtest.h>
@@ -21,12 +21,12 @@ using namespace sigc::test;
 
 namespace {
 
-/// Runs the step executor over a scripted environment and returns the
+/// Runs the compiled step over a scripted environment and returns the
 /// formatted outputs.
 std::string runSteps(Compilation &C, ScriptedEnvironment &Env,
-                     unsigned Instants, ExecMode Mode = ExecMode::Nested) {
-  StepExecutor Exec(*C.Kernel, C.Step);
-  Exec.run(Env, Instants, Mode);
+                     unsigned Instants) {
+  VmExecutor Exec(C.Compiled);
+  Exec.run(Env, Instants);
   return formatEvents(Env.outputs());
 }
 
@@ -179,34 +179,31 @@ void expectAllModesAgree(const std::string &Source, uint64_t Seed,
     return;
 
   RandomEnvironment EnvFlat(Seed);
-  StepExecutor ExecFlat(*C->Kernel, C->Step);
-  ExecFlat.run(EnvFlat, Instants, ExecMode::Flat);
-
-  RandomEnvironment EnvNested(Seed);
-  StepExecutor ExecNested(*C->Kernel, C->Step);
-  ExecNested.run(EnvNested, Instants, ExecMode::Nested);
+  CompiledStep Flat =
+      CompiledStep::build(*C->Kernel, C->Step, StepLayout::Flat);
+  VmExecutor ExecFlat(Flat);
+  ExecFlat.run(EnvFlat, Instants);
 
   RandomEnvironment EnvVm(Seed);
-  CompiledStep CS = CompiledStep::build(*C->Kernel, C->Step);
-  VmExecutor ExecVm(CS);
+  VmExecutor ExecVm(C->Compiled);
   ExecVm.run(EnvVm, Instants);
 
   RandomEnvironment EnvRef(Seed);
   KernelInterp Ref(*C->Kernel, C->Clocks, *C->Forest, C->names());
   EXPECT_TRUE(Ref.run(EnvRef, Instants)) << "fixpoint got stuck";
 
-  EXPECT_EQ(formatEvents(EnvFlat.outputs()),
-            formatEvents(EnvNested.outputs()))
+  EXPECT_EQ(formatEvents(EnvFlat.outputs()), formatEvents(EnvVm.outputs()))
       << "flat vs nested divergence\n"
       << Source;
-  EXPECT_EQ(formatEvents(EnvNested.outputs()), formatEvents(EnvVm.outputs()))
-      << "nested vs slot-VM divergence\n"
+  EXPECT_EQ(ExecFlat.guardTests(),
+            uint64_t(Instants) * C->Step.numGuardedInstrs())
+      << "flat layout must test one guard per guarded instruction\n"
       << Source;
-  EXPECT_EQ(ExecVm.guardTests(), ExecNested.guardTests())
-      << "slot-VM guard economics diverged from nested\n"
+  EXPECT_LE(ExecVm.guardTests(), ExecFlat.guardTests())
+      << "nested guard economics regressed past flat\n"
       << Source;
-  EXPECT_EQ(ExecVm.executed(), ExecNested.executed())
-      << "slot-VM Executed counter diverged from nested\n"
+  EXPECT_EQ(ExecVm.executed(), ExecFlat.executed())
+      << "nested and flat Executed counters diverged\n"
       << Source;
   EXPECT_EQ(formatEvents(EnvFlat.outputs()), formatEvents(EnvRef.outputs()))
       << "step vs reference divergence\n"
@@ -322,7 +319,7 @@ INSTANTIATE_TEST_SUITE_P(RandomPrograms, DifferentialTest,
 // Executor details
 //===----------------------------------------------------------------------===//
 
-TEST(StepExecutor, NestedDoesFewerGuardTests) {
+TEST(VmExecutor, NestedLayoutDoesFewerGuardTests) {
   auto C = compileOk(proc("? integer A; boolean C1, C2; ! integer Y;",
                           "   T1 := A when C1\n"
                           "   | T2 := T1 when C2\n"
@@ -330,29 +327,37 @@ TEST(StepExecutor, NestedDoesFewerGuardTests) {
                           "integer T1, T2;"));
   // Environment where the root rarely ticks: nesting skips whole subtrees.
   RandomEnvironment Env(1, /*TickPermille=*/100);
-  StepExecutor Flat(*C->Kernel, C->Step);
-  Flat.run(Env, 256, ExecMode::Flat);
+  CompiledStep FlatCS =
+      CompiledStep::build(*C->Kernel, C->Step, StepLayout::Flat);
+  VmExecutor Flat(FlatCS);
+  Flat.run(Env, 256);
   RandomEnvironment Env2(1, 100);
-  StepExecutor Nested(*C->Kernel, C->Step);
-  Nested.run(Env2, 256, ExecMode::Nested);
+  VmExecutor Nested(C->Compiled);
+  Nested.run(Env2, 256);
   EXPECT_LT(Nested.guardTests(), Flat.guardTests());
   EXPECT_LE(Nested.executed(), Flat.executed());
 }
 
+// Step-program execution resets its delay registers on both layouts.
 TEST(StepExecutor, ResetRestoresInitialState) {
   auto C = compileOk(proc("? integer A; ! integer Y;",
                           "   Y := A + (Y $ 1 init 100)"));
-  ScriptedEnvironment Env;
-  Env.tickAlways();
-  for (unsigned I = 0; I < 3; ++I)
-    Env.set("A", I, Value::makeInt(1));
-  StepExecutor Exec(*C->Kernel, C->Step);
-  Exec.run(Env, 3, ExecMode::Nested);
-  std::string First = formatEvents(Env.outputs());
-  Env.clearOutputs();
-  Exec.reset();
-  Exec.run(Env, 3, ExecMode::Nested);
-  EXPECT_EQ(formatEvents(Env.outputs()), First);
+  CompiledStep FlatCS =
+      CompiledStep::build(*C->Kernel, C->Step, StepLayout::Flat);
+  for (const CompiledStep *CS : {&FlatCS, &C->Compiled}) {
+    ScriptedEnvironment Env;
+    Env.tickAlways();
+    for (unsigned I = 0; I < 3; ++I)
+      Env.set("A", I, Value::makeInt(1));
+    VmExecutor Exec(*CS);
+    Exec.run(Env, 3);
+    std::string First = formatEvents(Env.outputs());
+    EXPECT_NE(First.find("103"), std::string::npos) << First;
+    Env.clearOutputs();
+    Exec.reset();
+    Exec.run(Env, 3);
+    EXPECT_EQ(formatEvents(Env.outputs()), First);
+  }
 }
 
 TEST(Environment, RandomIsQueryOrderIndependent) {

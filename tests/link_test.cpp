@@ -195,6 +195,31 @@ TEST(Linker, TypeMismatchIsRejected) {
   EXPECT_NE(R.Error.find("boolean"), std::string::npos) << R.Error;
 }
 
+TEST(Linker, NullClockedExportIsADeadConnection) {
+  // With A and C synchronous, T is on [not C] and Y samples it on [C]:
+  // PROD's clock calculus proves Y's clock null, so PROD writes no Y and
+  // the channel can never carry a value. The exporter side is diagnosed
+  // like the importer side.
+  const char *Prod = R"(
+process PROD =
+  ( ? integer A; boolean C;
+    ! integer Y; )
+  (| synchro {A, C}
+   | T := A when (not C)
+   | Y := T when C
+  |)
+  where integer T; end;
+)";
+  const char *Cons =
+      "process CONS = ( ? integer Y; ! integer Z; ) (| Z := Y + 1 |);";
+  LinkResult R = compileAndLinkSources({{"PROD", Prod}, {"CONS", Cons}});
+  ASSERT_FALSE(R.Sys);
+  EXPECT_NE(R.Error.find("channel 'Y': exporter 'PROD' proved the signal's "
+                         "clock null; the connection is dead"),
+            std::string::npos)
+      << R.Error;
+}
+
 TEST(Linker, DuplicateExportIsRejected) {
   const char *P1 = "process P1 = ( ? integer A; ! integer X; ) (| X := A |);";
   const char *P2 =

@@ -1,7 +1,7 @@
 //===--- programs_test.cpp - Figure-13 suite sanity ------------------------===//
 
 #include "TestUtil.h"
-#include "interp/StepExecutor.h"
+#include "interp/VmExecutor.h"
 #include "programs/Programs.h"
 
 #include <gtest/gtest.h>
@@ -41,9 +41,11 @@ TEST_P(SuiteTest, SimulatesWithoutDivergence) {
   auto C = compileOk(P.Source);
   ASSERT_TRUE(C->Ok);
   RandomEnvironment EnvFlat(11), EnvNested(11);
-  StepExecutor A(*C->Kernel, C->Step), B(*C->Kernel, C->Step);
-  A.run(EnvFlat, 16, ExecMode::Flat);
-  B.run(EnvNested, 16, ExecMode::Nested);
+  CompiledStep Flat =
+      CompiledStep::build(*C->Kernel, C->Step, StepLayout::Flat);
+  VmExecutor A(Flat), B(C->Compiled);
+  A.run(EnvFlat, 16);
+  B.run(EnvNested, 16);
   EXPECT_EQ(formatEvents(EnvFlat.outputs()),
             formatEvents(EnvNested.outputs()))
       << P.Name;

@@ -7,15 +7,10 @@
 /// whole test binary's operator new/delete tally every allocation, and a
 /// measured window of VM instants after warm-up must tally zero.
 ///
-/// The legacy StepExecutor is measured alongside, documenting what the VM
-/// fixes (its EvalFunc path allocates argument and result vectors per
-/// instruction per instant).
-///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 #include "interp/FleetExecutor.h"
-#include "interp/StepExecutor.h"
 #include "interp/VmExecutor.h"
 #include "native/CcRunner.h"
 #include "native/NativeCache.h"
@@ -229,22 +224,6 @@ TEST(VmAllocation, NativeFleetLanesAreZeroAllocInSteadyState) {
   M.reset(); // dlclose before the artifact is unlinked
   std::remove(Cache.soPath(Hash).c_str());
   rmdir(Dir);
-}
-
-TEST(VmAllocation, LegacyStepExecutorAllocatesWhatTheVmEliminated) {
-  ProgramShape Shape;
-  Shape.DividerStages = 24;
-  auto C = compileOk(generateProgram("CHAIN", Shape));
-
-  StepExecutor Exec(*C->Kernel, C->Step);
-  DiscardEnvironment Env(42, 800);
-  Exec.run(Env, 8, ExecMode::Nested);
-
-  uint64_t Allocs = allocsDuring([&] { Exec.run(Env, 512, ExecMode::Nested); });
-  EXPECT_GT(Allocs, 0u)
-      << "the legacy executor's EvalFunc path allocates per instant; if "
-         "this ever reaches zero, retire the VM's advantage note in the "
-         "README";
 }
 
 TEST(VmAllocation, ScriptedAdapterStillWorksUnderCountingAllocator) {

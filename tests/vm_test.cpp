@@ -3,20 +3,22 @@
 /// Tests of the CompiledStep/VmExecutor execution engine:
 ///   * structural invariants of the lowered bytecode (resolved descriptor
 ///     indices, well-formed skip offsets, folded constants),
-///   * trace equivalence against the nested StepExecutor on scripted and
-///     random programs (the differential oracle re-checks this at scale;
-///     here the failures localize),
-///   * the guard-economics regression pin: the VM must do exactly the
-///     nested structure's guard work — never regress to flat-level — and
-///     its Executed counter stays comparable across the multi-instruction
-///     expression lowering (Weight accounting).
+///   * trace equivalence between the nested and the flat CompiledStep
+///     layouts and the reference interpreter on scripted and builtin
+///     programs (the differential oracle re-checks this at scale; here
+///     the failures localize),
+///   * the guard-economics regression pin: the nested layout must never
+///     regress to the flat layout's guard work, and the Executed counter
+///     stays one per step instruction across the multi-instruction
+///     expression lowering (Weight accounting) in both layouts.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
-#include "interp/StepExecutor.h"
+#include "interp/KernelInterp.h"
 #include "interp/VmExecutor.h"
 #include "programs/Programs.h"
+#include "testing/TraceCompare.h"
 
 #include <gtest/gtest.h>
 
@@ -27,6 +29,10 @@ namespace {
 
 CompiledStep buildVm(Compilation &C) {
   return CompiledStep::build(*C.Kernel, C.Step);
+}
+
+CompiledStep buildFlat(Compilation &C) {
+  return CompiledStep::build(*C.Kernel, C.Step, StepLayout::Flat);
 }
 
 } // namespace
@@ -107,7 +113,7 @@ TEST(CompiledStep, ConstantSubtreesFoldAtBuildTime) {
 }
 
 //===----------------------------------------------------------------------===//
-// Trace equivalence with the step executor.
+// Trace equivalence across the two layouts.
 //===----------------------------------------------------------------------===//
 
 TEST(VmExecutor, MatchesNestedOnScriptedTrace) {
@@ -121,28 +127,38 @@ TEST(VmExecutor, MatchesNestedOnScriptedTrace) {
       E->set("X2", I, Value::makeInt(10 - static_cast<int>(I)));
     }
   }
-  StepExecutor Nested(*C->Kernel, C->Step);
-  Nested.run(EnvA, 4, ExecMode::Nested);
+  CompiledStep FlatCS = buildFlat(*C);
+  VmExecutor Flat(FlatCS);
+  Flat.run(EnvA, 4);
   CompiledStep CS = buildVm(*C);
   VmExecutor Vm(CS);
   Vm.run(EnvB, 4);
   EXPECT_EQ(formatEvents(EnvA.outputs()), formatEvents(EnvB.outputs()));
+  EXPECT_EQ(formatEvents(EnvB.outputs()),
+            "0 X=11\n1 X=11\n2 X=11\n3 X=11\n");
 }
 
 TEST(VmExecutor, MatchesNestedOnBuiltinSuite) {
   for (const Figure13Program &P : figure13Suite()) {
     auto C = compileSource("<vm:" + P.Name + ">", P.Source);
     ASSERT_TRUE(C->Ok) << P.Name;
-    RandomEnvironment EnvNested(17), EnvVm(17);
-    StepExecutor Nested(*C->Kernel, C->Step);
-    Nested.run(EnvNested, 48, ExecMode::Nested);
+    RandomEnvironment EnvRef(17), EnvFlat(17), EnvVm(17);
+    KernelInterp Ref(*C->Kernel, C->Clocks, *C->Forest, C->names());
+    ASSERT_TRUE(Ref.run(EnvRef, 48)) << P.Name;
+    CompiledStep FlatCS = buildFlat(*C);
+    VmExecutor Flat(FlatCS);
+    Flat.run(EnvFlat, 48);
     CompiledStep CS = buildVm(*C);
     VmExecutor Vm(CS);
     Vm.run(EnvVm, 48);
-    EXPECT_EQ(formatEvents(EnvNested.outputs()), formatEvents(EnvVm.outputs()))
+    EXPECT_EQ(formatEvents(EnvFlat.outputs()), formatEvents(EnvVm.outputs()))
         << P.Name;
-    EXPECT_EQ(Vm.guardTests(), Nested.guardTests()) << P.Name;
-    EXPECT_EQ(Vm.executed(), Nested.executed()) << P.Name;
+    EXPECT_EQ(formatEvents(canonicalTrace(EnvRef.outputs())),
+              formatEvents(canonicalTrace(EnvVm.outputs())))
+        << P.Name;
+    EXPECT_EQ(Flat.guardTests(), 48u * C->Step.numGuardedInstrs()) << P.Name;
+    EXPECT_LT(Vm.guardTests(), Flat.guardTests()) << P.Name;
+    EXPECT_EQ(Vm.executed(), Flat.executed()) << P.Name;
   }
 }
 
@@ -266,27 +282,23 @@ TEST(VmExecutor, GuardWorkNeverRegressesToFlatLevel) {
   auto C = compileOk(generateProgram("CHAIN", Shape));
   const unsigned Instants = 256;
 
-  RandomEnvironment EnvFlat(5, 200), EnvNested(5, 200), EnvVm(5, 200);
-  StepExecutor Flat(*C->Kernel, C->Step);
-  Flat.run(EnvFlat, Instants, ExecMode::Flat);
-  StepExecutor Nested(*C->Kernel, C->Step);
-  Nested.run(EnvNested, Instants, ExecMode::Nested);
+  RandomEnvironment EnvFlat(5, 200), EnvVm(5, 200);
+  CompiledStep FlatCS = buildFlat(*C);
+  VmExecutor Flat(FlatCS);
+  Flat.run(EnvFlat, Instants);
   CompiledStep CS = buildVm(*C);
   VmExecutor Vm(CS);
   Vm.run(EnvVm, Instants);
 
   // Identical traces first — the economics are meaningless otherwise.
-  EXPECT_EQ(formatEvents(EnvNested.outputs()), formatEvents(EnvFlat.outputs()));
-  EXPECT_EQ(formatEvents(EnvVm.outputs()), formatEvents(EnvNested.outputs()));
+  EXPECT_EQ(formatEvents(EnvVm.outputs()), formatEvents(EnvFlat.outputs()));
 
-  // The pins: VM == nested exactly; both well below flat on this shape.
-  EXPECT_EQ(Vm.guardTests(), Nested.guardTests());
-  EXPECT_EQ(Vm.executed(), Nested.executed());
-  EXPECT_LT(Nested.guardTests(), Flat.guardTests() / 2)
-      << "nested guard work regressed toward flat-level scanning";
+  // The pins: flat is exactly one test per guarded instruction per
+  // instant; nested is well below it on this shape.
+  EXPECT_EQ(Flat.guardTests(), Instants * C->Step.numGuardedInstrs());
   EXPECT_LT(Vm.guardTests(), Flat.guardTests() / 2)
       << "VM guard work regressed toward flat-level scanning";
-  EXPECT_LE(Nested.executed(), Flat.executed());
+  EXPECT_LE(Vm.executed(), Flat.executed());
 }
 
 //===----------------------------------------------------------------------===//
