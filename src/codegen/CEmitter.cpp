@@ -2,6 +2,8 @@
 
 #include "codegen/CEmitter.h"
 
+#include "interp/StepKinds.h"
+
 #include <cassert>
 #include <cinttypes>
 #include <cmath>
@@ -117,17 +119,6 @@ std::string cLiteral(const Value &V) {
   return "0";
 }
 
-/// The statically computed Value kinds of one instruction: the kind it
-/// writes and the kinds of its value operands at that program point.
-/// These mirror the dynamic kinds VmExecutor's Values take, which is
-/// what makes the emitted C bit-compatible with the VM (wrapping integer
-/// arithmetic vs double arithmetic is decided by operand kinds).
-struct InstrKinds {
-  TypeKind Res = TypeKind::Unknown;
-  TypeKind A = TypeKind::Unknown;
-  TypeKind B = TypeKind::Unknown;
-};
-
 /// One expression operand: a slot (with its kind) or an inlined constant.
 struct Operand {
   bool IsConst = false;
@@ -148,19 +139,6 @@ public:
 private:
   unsigned numSlots() const { return CS.NumValueSlots + CS.NumTempSlots; }
 
-  TypeKind declaredType(int32_t Slot) const {
-    if (Slot >= 0 && static_cast<size_t>(Slot) < CS.ValueSlotType.size())
-      return CS.ValueSlotType[Slot];
-    return TypeKind::Integer; // scratch slots default before first write
-  }
-
-  /// Pass 1: simulate the kind flow of the whole stream, recording the
-  /// per-instruction kinds and which C classes each slot materializes as.
-  void annotate();
-
-  /// Result kind of an operator per evalBinaryValue/evalUnaryValue.
-  static TypeKind binaryResultKind(BinaryOp Op, TypeKind L, TypeKind R);
-
   std::string clockVar(int32_t Slot) const {
     return "c" + std::to_string(Slot);
   }
@@ -180,138 +158,9 @@ private:
   std::string Proc;
   CEmitOptions Options;
 
-  std::vector<InstrKinds> Kinds;     ///< Per instruction, from annotate().
+  std::vector<InstrKinds> Kinds;     ///< Per instruction (StepKinds).
   std::vector<unsigned> SlotClasses; ///< Bitmask of CClass per slot.
 };
-
-TypeKind Emitter::binaryResultKind(BinaryOp Op, TypeKind L, TypeKind R) {
-  bool BothInt = L == TypeKind::Integer && R == TypeKind::Integer;
-  switch (Op) {
-  case BinaryOp::Add:
-  case BinaryOp::Sub:
-  case BinaryOp::Mul:
-  case BinaryOp::Div:
-    return BothInt ? TypeKind::Integer : TypeKind::Real;
-  case BinaryOp::Mod:
-    return TypeKind::Integer;
-  case BinaryOp::And:
-  case BinaryOp::Or:
-  case BinaryOp::Xor:
-  case BinaryOp::Eq:
-  case BinaryOp::Ne:
-  case BinaryOp::Lt:
-  case BinaryOp::Le:
-  case BinaryOp::Gt:
-  case BinaryOp::Ge:
-    return TypeKind::Boolean;
-  }
-  return TypeKind::Unknown;
-}
-
-void Emitter::annotate() {
-  Kinds.assign(CS.Code.size(), InstrKinds());
-  SlotClasses.assign(numSlots(), 0u);
-
-  // The kind each slot currently holds, evolving down the linear stream.
-  // Guards only skip code; they never change which instruction defines a
-  // slot's kind, so the linear walk sees the same kinds any execution
-  // does (a read whose defining write was skipped is never executed —
-  // the schedule guarantees it).
-  std::vector<TypeKind> Cur(numSlots(), TypeKind::Unknown);
-  auto kindAt = [&](int32_t Slot) {
-    TypeKind K = Cur[Slot];
-    return K == TypeKind::Unknown ? declaredType(Slot) : K;
-  };
-  auto touch = [&](int32_t Slot, TypeKind K) {
-    SlotClasses[Slot] |= classBit(classOf(K));
-  };
-  auto write = [&](int32_t Slot, TypeKind K) {
-    Cur[Slot] = K;
-    touch(Slot, K);
-  };
-  auto read = [&](int32_t Slot) {
-    TypeKind K = kindAt(Slot);
-    touch(Slot, K);
-    return K;
-  };
-
-  for (size_t PC = 0; PC < CS.Code.size(); ++PC) {
-    const VmInstr &In = CS.Code[PC];
-    InstrKinds &IK = Kinds[PC];
-    switch (In.Op) {
-    case VmOp::SkipIfAbsent:
-    case VmOp::ReadClockInput:
-    case VmOp::EvalClockAnd:
-    case VmOp::EvalClockOr:
-    case VmOp::EvalClockDiff:
-    case VmOp::CopyClock:
-    case VmOp::SetClockFalse:
-      break;
-    case VmOp::EvalClockLiteral:
-      IK.A = read(In.A);
-      break;
-    case VmOp::ReadSignal:
-      IK.Res = CS.Inputs[In.Aux].Type;
-      write(In.Target, IK.Res);
-      break;
-    case VmOp::UnarySlot:
-      IK.A = read(In.A);
-      IK.Res = static_cast<UnaryOp>(In.Aux) == UnaryOp::Not
-                   ? TypeKind::Boolean
-                   : (IK.A == TypeKind::Integer ? TypeKind::Integer
-                                                : TypeKind::Real);
-      write(In.Target, IK.Res);
-      break;
-    case VmOp::BinarySS:
-      IK.A = read(In.A);
-      IK.B = read(In.B);
-      IK.Res = binaryResultKind(static_cast<BinaryOp>(In.Aux), IK.A, IK.B);
-      write(In.Target, IK.Res);
-      break;
-    case VmOp::BinarySC:
-      IK.A = read(In.A);
-      IK.B = CS.Consts[In.B].Kind;
-      IK.Res = binaryResultKind(static_cast<BinaryOp>(In.Aux), IK.A, IK.B);
-      write(In.Target, IK.Res);
-      break;
-    case VmOp::BinaryCS:
-      IK.A = CS.Consts[In.A].Kind;
-      IK.B = read(In.B);
-      IK.Res = binaryResultKind(static_cast<BinaryOp>(In.Aux), IK.A, IK.B);
-      write(In.Target, IK.Res);
-      break;
-    case VmOp::CopyValue:
-      IK.A = read(In.A);
-      IK.Res = IK.A;
-      write(In.Target, IK.Res);
-      break;
-    case VmOp::LoadConst:
-      IK.Res = CS.Consts[In.Aux].Kind;
-      write(In.Target, IK.Res);
-      break;
-    case VmOp::Select:
-      IK.A = read(In.A);
-      IK.B = read(In.B);
-      // Sema rejects defaults whose arms mix integer and real, so the
-      // arms share a storage class here; the VM's dynamic kind and this
-      // static one can only differ within the int class (an event arm
-      // against a boolean arm), where the representation is identical.
-      IK.Res = classOf(IK.A) == classOf(IK.B) ? IK.A : TypeKind::Real;
-      write(In.Target, IK.Res);
-      break;
-    case VmOp::LoadDelay:
-      IK.Res = CS.StateInit[In.A].Kind;
-      write(In.Target, IK.Res);
-      break;
-    case VmOp::StoreDelay:
-      IK.A = read(In.A);
-      break;
-    case VmOp::WriteOutput:
-      IK.A = read(In.A);
-      break;
-    }
-  }
-}
 
 std::string Emitter::valueVar(int32_t Slot, TypeKind K) const {
   std::string Name = "v" + std::to_string(Slot);
@@ -573,7 +422,16 @@ void Emitter::emitBody(std::string &Out) const {
 }
 
 std::string Emitter::run() {
-  annotate();
+  // The shared typing pass; each slot's kinds fold into the C storage
+  // classes it materializes as.
+  StepKinds SK = computeStepKinds(CS);
+  Kinds = std::move(SK.Instr);
+  SlotClasses.assign(numSlots(), 0u);
+  for (unsigned S = 0; S < numSlots(); ++S)
+    for (TypeKind K : {TypeKind::Unknown, TypeKind::Event, TypeKind::Boolean,
+                       TypeKind::Integer, TypeKind::Real})
+      if (SK.SlotKinds[S] & (1u << static_cast<unsigned>(K)))
+        SlotClasses[S] |= classBit(classOf(K));
 
   std::string Out;
   Out += "/* Generated by signalc from process " + Proc + ".\n";

@@ -198,6 +198,7 @@ int main(int Argc, char **Argv) {
   bool DumpInterface = false, DumpLink = false;
   bool WithDriver = false, Stats = false, ReplayBuffered = false;
   unsigned Simulate = 0, Batch = 0, Fleet = 0, FleetThreads = 1;
+  bool ThreadsGiven = false;
   unsigned FrameInstants = TraceDefaultFrameInstants;
   unsigned MaxSessions = 4, ServeLimit = 0;
   unsigned ResumeParked = 0, IdleTimeoutMs = 0, WriteTimeoutMs = 0;
@@ -306,8 +307,10 @@ int main(int Argc, char **Argv) {
         DrainGraceMs = static_cast<unsigned>(V);
       else if (Arg == "--sndbuf")
         SendBufBytes = static_cast<unsigned>(V);
-      else
+      else {
         FleetThreads = static_cast<unsigned>(V);
+        ThreadsGiven = true;
+      }
     } else if (Arg == "--native" || Arg.rfind("--native=", 0) == 0) {
       std::string V;
       if (Arg == "--native") {
@@ -407,6 +410,12 @@ int main(int Argc, char **Argv) {
     printUsage();
     return 2;
   }
+
+  // Only a fleet shards over threads; the server steps its sessions on
+  // one thread.
+  if (ThreadsGiven && (!Fleet || !ServeSock.empty()))
+    std::fprintf(stderr, "signalc: warning: --threads is ignored %s\n",
+                 ServeSock.empty() ? "without --fleet" : "under --serve");
 
   //===--------------------------------------------------------------------===//
   // Link mode: separate compilation of N processes, then interface link.

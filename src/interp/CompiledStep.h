@@ -26,6 +26,15 @@
 /// identical traces and Executed counts; only GuardTests differ, and the
 /// flat count is exactly instants x StepProgram::numGuardedInstrs().
 ///
+/// The bytecode itself is untyped: operators carry no kinds, and the
+/// Consts and StateInit tables hold tagged Values. computeStepKinds()
+/// (StepKinds.h) types it once, statically, for both consumers: the C
+/// emitter declares its locals from those kinds, and VmExecutor lowers
+/// the stream once more to typed threaded code over 8-byte Slots
+/// (kind-specialised opcodes, constants as read-only slots, explicit
+/// int-to-real widening), with Executed counted per block from the
+/// Weight fields below.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SIGNALC_INTERP_COMPILEDSTEP_H
@@ -74,6 +83,8 @@ struct VmInstr {
   /// several VM instructions (a multi-operator Func tree) counts once:
   /// the root carries 1, interior scratch computations carry 0, keeping
   /// the counter one per executed step instruction in either layout.
+  /// Executors sum the weights of a block's direct instructions into its
+  /// guard and add them when the guard holds.
   int8_t Weight = 1;
   int32_t Target = -1;
   int32_t A = -1;

@@ -10,7 +10,7 @@ using namespace sigc;
 
 FleetExecutor::FleetExecutor(const CompiledStep &CS, unsigned Instances,
                              Config Cfg)
-    : CS(CS), NumInstances(Instances), Cfg(Cfg) {
+    : CS(CS), NumInstances(Instances), Cfg(Cfg), StateInit(initialState(CS)) {
   this->Cfg.LaneBlock = std::max(1u, Cfg.LaneBlock);
   this->Cfg.Threads = std::max(1u, Cfg.Threads);
   const unsigned K = this->Cfg.LaneBlock;
@@ -38,7 +38,7 @@ FleetExecutor::FleetExecutor(const CompiledStep &CS, unsigned Instances,
 void FleetExecutor::resetLanes(unsigned First, unsigned Num) {
   assert(First + Num <= NumInstances && "lane range out of bounds");
   for (unsigned Inst = First; Inst < First + Num; ++Inst)
-    std::copy(CS.StateInit.begin(), CS.StateInit.end(), laneState(Inst));
+    std::copy(StateInit.begin(), StateInit.end(), laneState(Inst));
 }
 
 void FleetExecutor::bind(const std::vector<Environment *> &Envs) {
@@ -53,14 +53,14 @@ void FleetExecutor::bindInstance(unsigned Inst, Environment &Env) {
 }
 
 void FleetExecutor::saveLaneState(unsigned Inst,
-                                  std::vector<Value> &Out) const {
+                                  std::vector<Slot> &Out) const {
   assert(Inst < NumInstances && "instance out of range");
   auto Lane = States.begin() + static_cast<size_t>(Inst) * stateSlots();
   Out.assign(Lane, Lane + stateSlots());
 }
 
 void FleetExecutor::restoreLaneState(unsigned Inst,
-                                     const std::vector<Value> &In) {
+                                     const std::vector<Slot> &In) {
   assert(Inst < NumInstances && "instance out of range");
   assert(In.size() == stateSlots() &&
          "checkpoint shape does not match the compiled step");

@@ -7,9 +7,9 @@
 /// block, so an instance is nothing more than a state block: a fleet is
 /// N scalar lanes stepped by that one step.
 ///
-///   * a lane is one delay-state block (the VM's tagged slot format,
-///     contiguous per lane) plus its environment binding; a checkpoint
-///     is a copy of the block,
+///   * a lane is one delay-state block (8-byte Slots, contiguous per
+///     lane: the format both the VM and `sigc_native_set_state` read)
+///     plus its environment binding; a checkpoint is a copy of the block,
 ///   * each shard owns one scalar workspace — a VmExecutor running
 ///     stepLane() over the lane's block, or, after setNative(), a
 ///     NativeExecutor doing the same through the module's
@@ -124,20 +124,20 @@ public:
   }
 
   /// Copies instance \p Inst's delay state into \p Out (resized to
-  /// stateSlots()). Values are plain structs, so a saved vector is a
+  /// stateSlots()). Slots are plain 8-byte words, so a saved vector is a
   /// complete, relocatable checkpoint of the lane: taken at a frame
   /// boundary it captures everything the next reaction depends on
   /// beyond the stimulus itself — the serve front end's session-resume
   /// snapshot.
-  void saveLaneState(unsigned Inst, std::vector<Value> &Out) const;
+  void saveLaneState(unsigned Inst, std::vector<Slot> &Out) const;
 
   /// Restores a checkpoint taken by saveLaneState onto instance \p Inst
   /// (any instance of any executor compiled from the same step).
-  void restoreLaneState(unsigned Inst, const std::vector<Value> &In);
+  void restoreLaneState(unsigned Inst, const std::vector<Slot> &In);
 
   /// Runs subsequent windows through \p M's `sigc_native_run` (nullptr
   /// returns to the interpreter). The swap is a pure dispatch change at a
-  /// window boundary: lane state blocks keep the one tagged format both
+  /// window boundary: lane state blocks keep the one slot format both
   /// tiers read and write, so checkpoints, resetLanes and mixed
   /// interpreted/native windows keep working unchanged, and counters
   /// keep their scalar-sum meaning. \p M must be a validated module for
@@ -162,7 +162,7 @@ private:
                 unsigned Count);
   /// Folds \p S's counters into the fleet totals and zeroes them.
   void collectCounters(Shard &S);
-  Value *laneState(unsigned Inst) {
+  Slot *laneState(unsigned Inst) {
     return States.data() + static_cast<size_t>(Inst) * stateSlots();
   }
 
@@ -170,7 +170,8 @@ private:
   unsigned NumInstances;
   Config Cfg;
 
-  std::vector<Value> States;     ///< [instance][state slot].
+  std::vector<Slot> StateInit;   ///< One lane's initial block.
+  std::vector<Slot> States;      ///< [instance][state slot].
   std::vector<BoundEnv> Binds;   ///< Per instance.
   std::vector<Shard> Shards;     ///< Shards[0] also serves stepLanes.
 

@@ -1,14 +1,15 @@
 //===--- VmExecutor.cpp ---------------------------------------------------===//
 //
-// The interpreter loop exists twice over one set of op bodies (the
-// SIGC_VM_OPS X-macro): a portable switch dispatcher and a
-// direct-threaded computed-goto dispatcher (GNU labels-as-values). The
-// threaded loop replaces the switch's single shared indirect branch with
-// one `goto *` per op body, so the predictor learns each opcode's actual
-// successor distribution — the classic direct-threading win, which
-// matters here because fleets and cache-miss tiers keep this loop hot.
-// Both dispatchers execute identical semantics and counters; bench_tier
-// measures them against each other.
+// The typed opcodes and their bodies are one X-macro list, SIGC_VM_OPS;
+// the opcode enum and both dispatch loops are generated from it, so they
+// cannot drift. The interpreter loop exists twice over those bodies: a
+// portable switch dispatcher and a direct-threaded computed-goto
+// dispatcher (GNU labels-as-values). The threaded loop replaces the
+// switch's single shared indirect branch with one `goto *` per op body,
+// so the predictor learns each opcode's actual successor distribution —
+// the classic direct-threading win, which matters here because fleets and
+// cache-miss tiers keep this loop hot. Both dispatchers execute identical
+// semantics and counters.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,46 +29,341 @@
 
 using namespace sigc;
 
+//===--- The typed op bodies, shared by both dispatchers ------------------===//
+//
+// X(Name, Body...) per opcode. In scope: In (the instruction), S (the
+// frame), Clock, State, P (the port) and Instant. Skip and Halt are not
+// in the list: they are the ops that move the PC non-linearly and touch
+// the counters, so each dispatcher hand-rolls them. Booleans and events
+// are 0/1 in Slot::I, so logic runs on I directly. Bodies may contain
+// commas — the macro is variadic.
+
+#define SIGC_VM_BIN(X, Name, M, Expr)                                          \
+  X(Name, {                                                                    \
+    auto L = S[In.A].M, R = S[In.B].M;                                         \
+    S[In.T].M = Expr;                                                          \
+  })
+#define SIGC_VM_CMP(X, Name, M, Op)                                            \
+  X(Name, S[In.T].I = (S[In.A].M Op S[In.B].M) ? 1 : 0;)
+// Orderings compare through double, integers included, as
+// Value::asReal() does.
+#define SIGC_VM_CMPI(X, Name, Op)                                              \
+  X(Name, S[In.T].I = (static_cast<double>(S[In.A].I)                          \
+                           Op static_cast<double>(S[In.B].I))                  \
+                          ? 1                                                  \
+                          : 0;)
+
+#define SIGC_VM_OPS(X)                                                         \
+  X(ReadClock, Clock[In.T] = P.tick(In.A, Instant) ? 1 : 0;)                   \
+  X(ClockLit, Clock[In.T] = S[In.A].I == In.B ? 1 : 0;)                        \
+  X(ClockAnd, Clock[In.T] = Clock[In.A] & Clock[In.B];)                        \
+  X(ClockOr, Clock[In.T] = Clock[In.A] | Clock[In.B];)                         \
+  X(ClockDiff,                                                                 \
+    Clock[In.T] = static_cast<char>(Clock[In.A] & (Clock[In.B] ^ 1));)         \
+  X(CopyClock, Clock[In.T] = Clock[In.A];)                                     \
+  X(ClockFalse, Clock[In.T] = 0;)                                              \
+  X(ReadSignal, S[In.T] = P.input(In.A, Instant);)                             \
+  X(Copy, S[In.T] = S[In.A];)                                                  \
+  X(Select, S[In.T] = Clock[In.C] ? S[In.A] : S[In.B];)                        \
+  X(LoadDelay, S[In.T] = State[In.A];)                                         \
+  X(StoreDelay, State[In.T] = S[In.A];)                                        \
+  X(Write, P.output(In.B, In.C, Instant, S[In.A]);)                            \
+  X(ToD, S[In.T].D = static_cast<double>(S[In.A].I);)                          \
+  X(NotB, S[In.T].I = S[In.A].I ^ 1;)                                          \
+  X(NegI, S[In.T].I = wrapNeg(S[In.A].I);)                                     \
+  X(NegD, S[In.T].D = -S[In.A].D;)                                             \
+  SIGC_VM_BIN(X, AddI, I, wrapAdd(L, R))                                       \
+  SIGC_VM_BIN(X, SubI, I, wrapSub(L, R))                                       \
+  SIGC_VM_BIN(X, MulI, I, wrapMul(L, R))                                       \
+  /* R == -1 is negation: INT64_MIN / -1 overflows. */                         \
+  SIGC_VM_BIN(X, DivI, I, R == 0 ? 0 : R == -1 ? wrapNeg(L) : L / R)           \
+  SIGC_VM_BIN(X, ModI, I, (R == 0 || R == -1) ? 0 : ((L % R) + R) % R)         \
+  SIGC_VM_BIN(X, AddD, D, L + R)                                               \
+  SIGC_VM_BIN(X, SubD, D, L - R)                                               \
+  SIGC_VM_BIN(X, MulD, D, L * R)                                               \
+  SIGC_VM_BIN(X, DivD, D, R == 0.0 ? 0.0 : L / R)                              \
+  SIGC_VM_BIN(X, AndB, I, L & R)                                               \
+  SIGC_VM_BIN(X, OrB, I, L | R)                                                \
+  SIGC_VM_BIN(X, XorB, I, L ^ R)                                               \
+  SIGC_VM_CMP(X, EqI, I, ==)                                                   \
+  SIGC_VM_CMP(X, NeI, I, !=)                                                   \
+  SIGC_VM_CMP(X, EqD, D, ==)                                                   \
+  SIGC_VM_CMP(X, NeD, D, !=)                                                   \
+  SIGC_VM_CMPI(X, LtI, <)                                                      \
+  SIGC_VM_CMPI(X, LeI, <=)                                                     \
+  SIGC_VM_CMPI(X, GtI, >)                                                      \
+  SIGC_VM_CMPI(X, GeI, >=)                                                     \
+  SIGC_VM_CMP(X, LtD, D, <)                                                    \
+  SIGC_VM_CMP(X, LeD, D, <=)                                                   \
+  SIGC_VM_CMP(X, GtD, D, >)                                                    \
+  SIGC_VM_CMP(X, GeD, D, >=)
+
 namespace {
 
-/// Unbatched port: every query crosses the environment boundary.
+/// Typed opcodes: Halt, Skip, then SIGC_VM_OPS in list order (the
+/// computed-goto table is built positionally from the same list).
+enum class TOp : uint8_t {
+  Halt,
+  Skip,
+#define SIGC_VM_ENUM(Name, ...) Name,
+  SIGC_VM_OPS(SIGC_VM_ENUM)
+#undef SIGC_VM_ENUM
+};
+
+using TInstr = VmExecutor::TInstr;
+
+/// Unbatched port: every query crosses the environment boundary,
+/// converting by kind on the way.
 struct DirectPort {
   Environment &Env;
   const StepBindings &Bind;
+  const BatchIO &IO;
   bool tick(int32_t Desc, unsigned Instant) {
     return Env.clockTick(Bind.Clocks[Desc], Instant);
   }
-  const Value input(int32_t Desc, unsigned Instant) {
-    return Env.inputValue(Bind.Inputs[Desc], Instant);
+  Slot input(int32_t Desc, unsigned Instant) {
+    return toSlot(Env.inputValue(Bind.Inputs[Desc], Instant),
+                  IO.inputKind(Desc));
   }
-  void output(int32_t Desc, unsigned Instant, const Value &V) {
-    Env.writeOutput(Bind.Outputs[Desc], Instant, V);
+  void output(int32_t, int32_t Desc, unsigned Instant, Slot V) {
+    Env.writeOutput(Bind.Outputs[Desc], Instant,
+                    toValue(V, IO.outputKind(Desc)));
   }
 };
 
-/// Batched port: ticks and inputs come out of the prefetched buffers,
-/// outputs land in the flush buffers; no environment crossing at all.
+/// Batched port: ticks and inputs come out of the prefetched columns,
+/// outputs land in the flush rows; no environment crossing at all.
 struct BatchPort {
   const unsigned char *Ticks; ///< [desc * Cap + I]
-  const Value *Ins;           ///< [desc * Cap + I]
-  unsigned Cap = 0;
-  unsigned I = 0; ///< Batch-relative instant.
-  unsigned char *OutPresent;  ///< [I * NumOut + flush pos]
-  Value *OutVals;
-  const int32_t *FlushPos; ///< Output desc -> flush position.
-  unsigned NumOut = 0;
+  const Slot *Ins;            ///< [desc * Cap + I]
+  size_t Cap = 0;
+  unsigned char *OutPresent; ///< This instant's row, by flush position.
+  Slot *Outs;
 
-  bool tick(int32_t Desc, unsigned) {
-    return Ticks[static_cast<size_t>(Desc) * Cap + I] != 0;
+  bool tick(int32_t Desc, unsigned) { return Ticks[Desc * Cap] != 0; }
+  Slot input(int32_t Desc, unsigned) { return Ins[Desc * Cap]; }
+  void output(int32_t Pos, int32_t, unsigned, Slot V) {
+    OutPresent[Pos] = 1;
+    Outs[Pos] = V;
   }
-  const Value &input(int32_t Desc, unsigned) {
-    return Ins[static_cast<size_t>(Desc) * Cap + I];
+};
+
+/// Lowers CompiledStep::Code to typed code over the frame layout
+/// [values | scratch | 2 conversion slots | constants].
+class TypedLowering {
+public:
+  TypedLowering(const CompiledStep &CS, std::vector<TInstr> &Code,
+                std::vector<Slot> &Consts, uint64_t &RootWeight)
+      : CS(CS), Kinds(computeStepKinds(CS)), Code(Code), Consts(Consts),
+        RootWeight(RootWeight),
+        ConvBase(static_cast<int32_t>(CS.NumValueSlots + CS.NumTempSlots)),
+        FlushPos(CS.Outputs.size(), 0) {
+    for (size_t Pos = 0; Pos < CS.OutputFlushOrder.size(); ++Pos)
+      FlushPos[CS.OutputFlushOrder[Pos]] = static_cast<int32_t>(Pos);
   }
-  void output(int32_t Desc, unsigned, const Value &V) {
-    size_t At = static_cast<size_t>(I) * NumOut + FlushPos[Desc];
-    OutPresent[At] = 1;
-    OutVals[At] = V;
+
+  const std::vector<TypeKind> &outputKinds() const {
+    return Kinds.OutputKinds;
   }
+
+  void run() {
+    const int32_t End = static_cast<int32_t>(CS.Code.size());
+    std::vector<int32_t> NewPos(CS.Code.size() + 1, 0);
+    // Open guards: (skip position in Code, source PC it jumps to).
+    std::vector<std::pair<size_t, int32_t>> Open;
+    RootWeight = 0;
+    for (int32_t PC = 0; PC <= End; ++PC) {
+      while (!Open.empty() && Open.back().second == PC)
+        Open.pop_back();
+      NewPos[PC] = static_cast<int32_t>(Code.size());
+      if (PC == End)
+        break;
+      const VmInstr &In = CS.Code[PC];
+      if (In.Op == VmOp::SkipIfAbsent) {
+        Open.push_back({Code.size(), In.Aux});
+        emit(TOp::Skip, In.Aux, In.A, 0);
+        continue;
+      }
+      // A block is straight-line between guards: its direct
+      // instructions run exactly when its guard holds.
+      addWeight(Open.empty() ? -1 : static_cast<int>(Open.back().first),
+                In.Weight);
+      lower(In, Kinds.Instr[PC]);
+    }
+    emit(TOp::Halt);
+    for (TInstr &T : Code)
+      if (T.Op == static_cast<uint8_t>(TOp::Skip))
+        T.T = NewPos[T.T];
+  }
+
+private:
+  void addWeight(int SkipAt, int W) {
+    if (SkipAt < 0)
+      RootWeight += static_cast<uint64_t>(W);
+    else
+      Code[SkipAt].B += W;
+  }
+
+  void emit(TOp Op, int32_t T = -1, int32_t A = -1, int32_t B = -1,
+            int32_t C = -1) {
+    TInstr I;
+    I.Op = static_cast<uint8_t>(Op);
+    I.T = T;
+    I.A = A;
+    I.B = B;
+    I.C = C;
+    Code.push_back(I);
+  }
+
+  /// The frame slot of constant \p V (deduplicated by representation).
+  int32_t constSlot(Slot V) {
+    int32_t Base = ConvBase + 2;
+    for (size_t I = 0; I < Consts.size(); ++I)
+      if (Consts[I].I == V.I)
+        return Base + static_cast<int32_t>(I);
+    Consts.push_back(V);
+    return Base + static_cast<int32_t>(Consts.size()) - 1;
+  }
+
+  /// Operand \p Which (0 = A, 1 = B) of binary \p In as a slot of kind
+  /// \p K is a real slot when \p AsReal: constants convert at build
+  /// time, integer slots through a ToD into the operand's conversion
+  /// slot.
+  int32_t operand(const VmInstr &In, int Which, TypeKind K, bool AsReal) {
+    bool IsConst = Which == 0 ? In.Op == VmOp::BinaryCS
+                              : In.Op == VmOp::BinarySC;
+    int32_t Idx = Which == 0 ? In.A : In.B;
+    bool Widen = AsReal && K == TypeKind::Integer;
+    if (IsConst)
+      return constSlot(toSlot(CS.Consts[Idx], Widen ? TypeKind::Real : K));
+    if (!Widen)
+      return Idx;
+    emit(TOp::ToD, ConvBase + Which, Idx);
+    return ConvBase + Which;
+  }
+
+  void binary(const VmInstr &In, const InstrKinds &IK) {
+    const BinaryOp Op = static_cast<BinaryOp>(In.Aux);
+    const bool BothInt =
+        IK.A == TypeKind::Integer && IK.B == TypeKind::Integer;
+    auto isNum = [](TypeKind K) {
+      return K == TypeKind::Integer || K == TypeKind::Real;
+    };
+    auto pick = [&](TOp IntOp, TOp RealOp, bool Int) {
+      int32_t A = operand(In, 0, IK.A, !Int);
+      int32_t B = operand(In, 1, IK.B, !Int);
+      emit(Int ? IntOp : RealOp, In.Target, A, B);
+    };
+    switch (Op) {
+    case BinaryOp::Add:
+      return pick(TOp::AddI, TOp::AddD, BothInt);
+    case BinaryOp::Sub:
+      return pick(TOp::SubI, TOp::SubD, BothInt);
+    case BinaryOp::Mul:
+      return pick(TOp::MulI, TOp::MulD, BothInt);
+    case BinaryOp::Div:
+      return pick(TOp::DivI, TOp::DivD, BothInt);
+    case BinaryOp::Mod:
+      return pick(TOp::ModI, TOp::ModI, true);
+    case BinaryOp::And:
+      return pick(TOp::AndB, TOp::AndB, true);
+    case BinaryOp::Or:
+      return pick(TOp::OrB, TOp::OrB, true);
+    case BinaryOp::Xor:
+      return pick(TOp::XorB, TOp::XorB, true);
+    case BinaryOp::Eq:
+    case BinaryOp::Ne: {
+      const bool Eq = Op == BinaryOp::Eq;
+      const bool NumA = isNum(IK.A), NumB = isNum(IK.B);
+      // Value::operator==: numeric kinds compare through double when
+      // they differ; any other cross-kind pair (a boolean against an
+      // event, a number against a boolean) is never equal.
+      if (NumA != NumB || (!NumA && IK.A != IK.B)) {
+        Slot R;
+        R.I = Eq ? 0 : 1;
+        return emit(TOp::Copy, In.Target, constSlot(R));
+      }
+      bool Int = BothInt || !NumA;
+      return pick(Eq ? TOp::EqI : TOp::NeI, Eq ? TOp::EqD : TOp::NeD, Int);
+    }
+    case BinaryOp::Lt:
+      return pick(TOp::LtI, TOp::LtD, BothInt);
+    case BinaryOp::Le:
+      return pick(TOp::LeI, TOp::LeD, BothInt);
+    case BinaryOp::Gt:
+      return pick(TOp::GtI, TOp::GtD, BothInt);
+    case BinaryOp::Ge:
+      return pick(TOp::GeI, TOp::GeD, BothInt);
+    }
+  }
+
+  void lower(const VmInstr &In, const InstrKinds &IK) {
+    switch (In.Op) {
+    case VmOp::SkipIfAbsent:
+      break; // handled by run()
+    case VmOp::ReadClockInput:
+      return emit(TOp::ReadClock, In.Target, In.Aux);
+    case VmOp::EvalClockLiteral:
+      return emit(TOp::ClockLit, In.Target, In.A, In.Aux != 0 ? 1 : 0);
+    case VmOp::EvalClockAnd:
+      return emit(TOp::ClockAnd, In.Target, In.A, In.B);
+    case VmOp::EvalClockOr:
+      return emit(TOp::ClockOr, In.Target, In.A, In.B);
+    case VmOp::EvalClockDiff:
+      return emit(TOp::ClockDiff, In.Target, In.A, In.B);
+    case VmOp::CopyClock:
+      return emit(TOp::CopyClock, In.Target, In.A);
+    case VmOp::SetClockFalse:
+      return emit(TOp::ClockFalse, In.Target);
+    case VmOp::ReadSignal:
+      return emit(TOp::ReadSignal, In.Target, In.Aux);
+    case VmOp::UnarySlot:
+      if (static_cast<UnaryOp>(In.Aux) == UnaryOp::Not)
+        return emit(TOp::NotB, In.Target, In.A);
+      if (IK.A == TypeKind::Integer)
+        return emit(TOp::NegI, In.Target, In.A);
+      return emit(TOp::NegD, In.Target, In.A);
+    case VmOp::BinarySS:
+    case VmOp::BinarySC:
+    case VmOp::BinaryCS:
+      return binary(In, IK);
+    case VmOp::CopyValue:
+      return emit(TOp::Copy, In.Target, In.A);
+    case VmOp::LoadConst:
+      return emit(TOp::Copy, In.Target,
+                  constSlot(toSlot(CS.Consts[In.Aux], IK.Res)));
+    case VmOp::Select:
+      assert(isRealSlot(IK.A) == isRealSlot(IK.B) &&
+             "default arms of different representations");
+      return emit(TOp::Select, In.Target, In.A, In.B, In.Aux);
+    case VmOp::LoadDelay:
+      return emit(TOp::LoadDelay, In.Target, In.A);
+    case VmOp::StoreDelay: {
+      // A real signal may carry an integer-kinded value (`X := A` with A
+      // integer); it widens into the real memory, as the emitted C's
+      // assignment to the double state field does. Sema admits no other
+      // mismatch: a delay's init has the signal's type.
+      const bool RealMemory = isRealSlot(CS.StateInit[In.Target].Kind);
+      assert((RealMemory || !isRealSlot(IK.A)) &&
+             "real value stored into an integer memory");
+      if (RealMemory && !isRealSlot(IK.A)) {
+        emit(TOp::ToD, ConvBase, In.A);
+        return emit(TOp::StoreDelay, In.Target, ConvBase);
+      }
+      return emit(TOp::StoreDelay, In.Target, In.A);
+    }
+    case VmOp::WriteOutput:
+      return emit(TOp::Write, -1, In.A, FlushPos[In.Aux], In.Aux);
+    }
+  }
+
+  const CompiledStep &CS;
+  StepKinds Kinds;
+  std::vector<TInstr> &Code;
+  std::vector<Slot> &Consts;
+  uint64_t &RootWeight;
+  const int32_t ConvBase;
+  std::vector<int32_t> FlushPos; ///< Output desc -> flush position.
 };
 
 } // namespace
@@ -80,102 +376,69 @@ void VmExecutor::setDispatch(VmDispatch D) {
   UseGoto = D == VmDispatch::Goto && computedGotoAvailable();
 }
 
-void VmExecutor::reset() {
-  ClockSlots.assign(CS.NumClockSlots, 0);
-  // Scratch slots for interior expression results live after the values.
-  ValueSlots.assign(CS.NumValueSlots + CS.NumTempSlots, Value());
-  StateSlots = CS.StateInit;
+static std::vector<TypeKind> lowerTyped(const CompiledStep &CS,
+                                        std::vector<TInstr> &Code,
+                                        std::vector<Slot> &Consts,
+                                        uint64_t &RootWeight) {
+  TypedLowering L(CS, Code, Consts, RootWeight);
+  L.run();
+  return L.outputKinds();
 }
 
-void VmExecutor::setStateSlots(const std::vector<Value> &S) {
+VmExecutor::VmExecutor(const CompiledStep &CS)
+    : CS(CS), StateInit(initialState(CS)),
+      IO(CS, lowerTyped(CS, Code, Consts, RootWeight)) {
+  reset();
+}
+
+void VmExecutor::reset() {
+  ClockSlots.assign(CS.NumClockSlots, 0);
+  // Scratch and conversion slots live after the values, the read-only
+  // constants after them.
+  Frame.assign(CS.NumValueSlots + CS.NumTempSlots + 2, Slot{});
+  Frame.insert(Frame.end(), Consts.begin(), Consts.end());
+  StateSlots = StateInit;
+}
+
+void VmExecutor::setStateSlots(const std::vector<Slot> &S) {
   assert(S.size() == StateSlots.size() &&
          "state snapshot does not match the compiled step");
   StateSlots = S;
 }
 
-BoundEnv sigc::bindEnv(Environment &Env, const CompiledStep &CS) {
-  BoundEnv B;
-  B.Ids = resolveBindings(Env, CS.ClockInputs, CS.Inputs, CS.Outputs);
-  B.Identity = Env.identity();
-  // Batch-flush positions are the code order of the WriteOutput
-  // instructions; each maps to the environment id just bound.
-  B.FlushIds.reserve(CS.OutputFlushOrder.size());
-  for (int32_t Desc : CS.OutputFlushOrder)
-    B.FlushIds.push_back(B.Ids.Outputs[Desc]);
-  return B;
-}
-
-VmExecutor::VmExecutor(const CompiledStep &CS) : CS(CS) {
-  FlushPos.assign(CS.Outputs.size(), 0);
-  for (size_t Pos = 0; Pos < CS.OutputFlushOrder.size(); ++Pos)
-    FlushPos[CS.OutputFlushOrder[Pos]] = static_cast<int32_t>(Pos);
-  reset();
-}
-
 void VmExecutor::bind(Environment &Env) { Bind = bindEnv(Env, CS); }
 
-//===--- The op bodies, shared by both dispatchers ------------------------===//
-//
-// X(Name, Body...) per opcode, listed in VmOp declaration order (the
-// computed-goto table is built positionally from this list). SkipIfAbsent
-// is not in the list: it is the one op that moves the PC non-linearly and
-// bumps GuardTests instead of Executed, so each dispatcher hand-rolls it.
-// Bodies may contain commas — the macro is variadic.
-
-#define SIGC_VM_OPS(X)                                                         \
-  X(ReadClockInput, Clock[In.Target] = P.tick(In.Aux, Instant) ? 1 : 0;)       \
-  X(EvalClockLiteral, bool V = Vals[In.A].asBool();                            \
-    Clock[In.Target] = (V == (In.Aux != 0)) ? 1 : 0;)                          \
-  X(EvalClockAnd, Clock[In.Target] = Clock[In.A] & Clock[In.B];)               \
-  X(EvalClockOr, Clock[In.Target] = Clock[In.A] | Clock[In.B];)                \
-  X(EvalClockDiff,                                                             \
-    Clock[In.Target] = static_cast<char>(Clock[In.A] & (Clock[In.B] ^ 1));)    \
-  X(CopyClock, Clock[In.Target] = Clock[In.A];)                                \
-  X(SetClockFalse, Clock[In.Target] = 0;)                                      \
-  X(ReadSignal, Vals[In.Target] = P.input(In.Aux, Instant);)                   \
-  X(UnarySlot, Vals[In.Target] =                                               \
-        evalUnaryValue(static_cast<UnaryOp>(In.Aux), Vals[In.A]);)             \
-  X(BinarySS, Vals[In.Target] = evalBinaryValue(static_cast<BinaryOp>(In.Aux), \
-                                                Vals[In.A], Vals[In.B]);)      \
-  X(BinarySC, Vals[In.Target] = evalBinaryValue(static_cast<BinaryOp>(In.Aux), \
-                                                Vals[In.A], Consts[In.B]);)    \
-  X(BinaryCS, Vals[In.Target] = evalBinaryValue(static_cast<BinaryOp>(In.Aux), \
-                                                Consts[In.A], Vals[In.B]);)    \
-  X(CopyValue, Vals[In.Target] = Vals[In.A];)                                  \
-  X(LoadConst, Vals[In.Target] = Consts[In.Aux];)                              \
-  X(Select, Vals[In.Target] = Clock[In.Aux] ? Vals[In.A] : Vals[In.B];)        \
-  X(LoadDelay, Vals[In.Target] = State[In.A];)                                 \
-  X(StoreDelay, State[In.Target] = Vals[In.A];)                                \
-  X(WriteOutput, P.output(In.Aux, Instant, Vals[In.A]);)
-
 template <typename Port>
-void VmExecutor::execInstantSwitch(Port &P, Value *State, unsigned Instant) {
+void VmExecutor::execInstantSwitch(Port &P, Slot *State, unsigned Instant) {
   // Presence is recomputed from scratch each instant.
   std::fill(ClockSlots.begin(), ClockSlots.end(), 0);
 
-  const VmInstr *Code = CS.Code.data();
-  const int32_t End = static_cast<int32_t>(CS.Code.size());
+  const TInstr *Code = this->Code.data();
   char *Clock = ClockSlots.data();
-  Value *Vals = ValueSlots.data();
-  const Value *Consts = CS.Consts.data();
+  Slot *S = Frame.data();
+  uint64_t Guards = 0, Exec = RootWeight;
 
-  int32_t PC = 0;
-  while (PC < End) {
-    const VmInstr &In = Code[PC];
-    if (In.Op == VmOp::SkipIfAbsent) {
-      ++GuardTests;
-      PC = Clock[In.A] ? PC + 1 : In.Aux;
+  for (int32_t PC = 0;;) {
+    const TInstr &In = Code[PC];
+    switch (static_cast<TOp>(In.Op)) {
+    case TOp::Halt:
+      GuardTests += Guards;
+      Executed += Exec;
+      return;
+    case TOp::Skip:
+      ++Guards;
+      if (Clock[In.A]) {
+        Exec += static_cast<uint64_t>(In.B);
+        ++PC;
+      } else {
+        PC = In.T;
+      }
       continue;
-    }
-    ++PC;
-    Executed += In.Weight;
-    switch (In.Op) {
-    case VmOp::SkipIfAbsent:
-      break; // handled above
 #define SIGC_VM_CASE(Name, ...)                                                \
-  case VmOp::Name: {                                                           \
+  case TOp::Name: {                                                            \
     __VA_ARGS__                                                                \
-    break;                                                                     \
+    ++PC;                                                                      \
+    continue;                                                                  \
   }
       SIGC_VM_OPS(SIGC_VM_CASE)
 #undef SIGC_VM_CASE
@@ -184,46 +447,47 @@ void VmExecutor::execInstantSwitch(Port &P, Value *State, unsigned Instant) {
 }
 
 template <typename Port>
-void VmExecutor::execInstantGoto(Port &P, Value *State, unsigned Instant) {
+void VmExecutor::execInstantGoto(Port &P, Slot *State, unsigned Instant) {
 #if SIGC_VM_COMPUTED_GOTO
   // Presence is recomputed from scratch each instant.
   std::fill(ClockSlots.begin(), ClockSlots.end(), 0);
 
-  const VmInstr *Code = CS.Code.data();
-  const int32_t End = static_cast<int32_t>(CS.Code.size());
+  const TInstr *Code = this->Code.data();
   char *Clock = ClockSlots.data();
-  Value *Vals = ValueSlots.data();
-  const Value *Consts = CS.Consts.data();
+  Slot *S = Frame.data();
+  uint64_t Guards = 0, Exec = RootWeight;
 
-  // Positional dispatch table: one label per VmOp, in declaration order.
+  // Positional dispatch table: one label per TOp, in declaration order.
 #define SIGC_VM_TABLE_ENTRY(Name, ...) &&L_##Name,
-  static const void *const Table[] = {&&L_SkipIfAbsent,
+  static const void *const Table[] = {&&L_Halt, &&L_Skip,
                                       SIGC_VM_OPS(SIGC_VM_TABLE_ENTRY)};
 #undef SIGC_VM_TABLE_ENTRY
 
-  int32_t PC = 0;
-#define SIGC_VM_DISPATCH()                                                     \
-  do {                                                                         \
-    if (PC >= End)                                                             \
-      return;                                                                  \
-    goto *Table[static_cast<uint8_t>(Code[PC].Op)];                            \
-  } while (0)
+  const TInstr *IP = Code;
+#define SIGC_VM_DISPATCH() goto *Table[IP->Op]
 
   SIGC_VM_DISPATCH();
 
-L_SkipIfAbsent: {
-  const VmInstr &In = Code[PC];
-  ++GuardTests;
-  PC = Clock[In.A] ? PC + 1 : In.Aux;
+L_Halt:
+  GuardTests += Guards;
+  Executed += Exec;
+  return;
+
+L_Skip:
+  ++Guards;
+  if (Clock[IP->A]) {
+    Exec += static_cast<uint64_t>(IP->B);
+    ++IP;
+  } else {
+    IP = Code + IP->T;
+  }
   SIGC_VM_DISPATCH();
-}
 
 #define SIGC_VM_LABEL(Name, ...)                                               \
-  L_##Name: {                                                                  \
-    const VmInstr &In = Code[PC];                                              \
-    ++PC;                                                                      \
-    Executed += In.Weight;                                                     \
+  L_##Name : {                                                                 \
+    const TInstr &In = *IP;                                                    \
     __VA_ARGS__                                                                \
+    ++IP;                                                                      \
     SIGC_VM_DISPATCH();                                                        \
   }
   SIGC_VM_OPS(SIGC_VM_LABEL)
@@ -235,7 +499,7 @@ L_SkipIfAbsent: {
 }
 
 template <typename Port>
-void VmExecutor::execInstant(Port &P, Value *State, unsigned Instant) {
+void VmExecutor::execInstant(Port &P, Slot *State, unsigned Instant) {
   if (UseGoto)
     execInstantGoto(P, State, Instant);
   else
@@ -245,24 +509,20 @@ void VmExecutor::execInstant(Port &P, Value *State, unsigned Instant) {
 void VmExecutor::step(Environment &Env, unsigned Instant) {
   if (Env.identity() != Bind.Identity)
     bind(Env);
-  DirectPort P{Env, Bind.Ids};
+  DirectPort P{Env, Bind.Ids, IO};
   execInstant(P, StateSlots.data(), Instant);
 }
 
 void VmExecutor::reserveBatch(unsigned MaxCount) {
-  if (MaxCount <= BatchCap)
+  if (MaxCount <= IO.capacity())
     return;
-  BatchCap = MaxCount;
-  TickBuf.assign(CS.ClockInputs.size() * static_cast<size_t>(BatchCap), 0);
-  InBuf.assign(CS.Inputs.size() * static_cast<size_t>(BatchCap), Value());
-  OutPresent.assign(static_cast<size_t>(BatchCap) * CS.Outputs.size(), 0);
-  OutVals.assign(static_cast<size_t>(BatchCap) * CS.Outputs.size(), Value());
-  WatchBuf.assign(WatchSlots.size() * static_cast<size_t>(BatchCap), 0);
+  IO.reserve(MaxCount);
+  WatchBuf.assign(WatchSlots.size() * static_cast<size_t>(IO.capacity()), 0);
 }
 
 void VmExecutor::setWatchSlots(std::vector<int> Slots) {
   WatchSlots = std::move(Slots);
-  WatchBuf.assign(WatchSlots.size() * static_cast<size_t>(BatchCap), 0);
+  WatchBuf.assign(WatchSlots.size() * static_cast<size_t>(IO.capacity()), 0);
 }
 
 void VmExecutor::stepN(Environment &Env, unsigned Start, unsigned Count) {
@@ -271,42 +531,29 @@ void VmExecutor::stepN(Environment &Env, unsigned Start, unsigned Count) {
   stepLane(Env, Bind, StateSlots.data(), Start, Count);
 }
 
-void VmExecutor::stepLane(Environment &Env, const BoundEnv &B, Value *State,
+void VmExecutor::stepLane(Environment &Env, const BoundEnv &B, Slot *State,
                           unsigned Start, unsigned Count) {
   if (Count == 0)
     return;
   reserveBatch(Count);
+  IO.prefetch(Env, B, Start, Count);
 
-  const unsigned NumOut = static_cast<unsigned>(CS.Outputs.size());
-
-  // One boundary crossing per descriptor: prefetch the whole window.
-  for (size_t D = 0; D < CS.ClockInputs.size(); ++D)
-    Env.clockTicks(B.Ids.Clocks[D], Start, Count, &TickBuf[D * BatchCap]);
-  for (size_t D = 0; D < CS.Inputs.size(); ++D)
-    Env.inputValues(B.Ids.Inputs[D], Start, Count, &InBuf[D * BatchCap]);
-  std::fill(OutPresent.begin(),
-            OutPresent.begin() + static_cast<size_t>(Count) * NumOut, 0);
-
+  const size_t Cap = IO.capacity();
+  const size_t NumOut = CS.Outputs.size();
   BatchPort P;
-  P.Ticks = TickBuf.data();
-  P.Ins = InBuf.data();
-  P.Cap = BatchCap;
-  P.OutPresent = OutPresent.data();
-  P.OutVals = OutVals.data();
-  P.FlushPos = FlushPos.data();
-  P.NumOut = NumOut;
-
+  P.Cap = Cap;
   for (unsigned I = 0; I < Count; ++I) {
-    P.I = I;
+    P.Ticks = IO.Ticks.data() + I;
+    P.Ins = IO.Ins.data() + I;
+    P.OutPresent = IO.OutPresent.data() + I * NumOut;
+    P.Outs = IO.Outs.data() + I * NumOut;
     execInstant(P, State, Start + I);
     for (size_t W = 0; W < WatchSlots.size(); ++W)
-      WatchBuf[W * BatchCap + I] =
+      WatchBuf[W * Cap + I] =
           WatchSlots[W] >= 0 ? ClockSlots[WatchSlots[W]] : 0;
   }
 
-  // One crossing back: flush the batch's outputs in unbatched order.
-  Env.exchangeOutputs(Start, Count, NumOut, B.FlushIds.data(),
-                      OutPresent.data(), OutVals.data());
+  IO.flush(Env, B, Start, Count);
 }
 
 void VmExecutor::run(Environment &Env, unsigned Count) {

@@ -2,21 +2,41 @@
 ///
 /// \file
 /// Executes a CompiledStep instant by instant against an Environment.
-/// The per-instant loop is a flat PC walk over the VM instruction stream:
-/// absent clocks skip their subtree via SkipIfAbsent offsets, expressions
-/// run three-address over preallocated scratch slots, and every
-/// environment query uses the slot ids bound once per (executor,
-/// environment) pair. In the steady state one instant performs zero heap
-/// allocations (pinned by the counting-allocator test).
+///
+/// The constructor runs the shared typing pass (StepKinds.h) and lowers
+/// CompiledStep::Code once more, to typed threaded code over a frame of
+/// untyped 8-byte Slots: value slots, scratch slots, two conversion
+/// slots, then the constants as read-only slots. Every kind is resolved
+/// before the first instant:
+///
+///   * operators become opcodes specialised by operator and kind (AddI,
+///     AddD, LtI, EqB, ...), so an instruction body is one C++ statement
+///     on one Slot member, with no tag test and no out-of-line call,
+///   * constant operands are slots, so binary operations have a single
+///     slot-slot form and a constant load is a copy,
+///   * where the tagged Value semantics widened an integer to real, the
+///     typed code widens explicitly: a ToD into a conversion slot, or a
+///     real constant slot when the operand is constant,
+///   * the stream ends in a Halt sentinel, so dispatch never tests the PC
+///     against the end.
+///
+/// The per-instant loop is a flat PC walk: absent clocks skip their
+/// subtree via the skip offsets of CompiledStep. Executed is counted per
+/// block, not per instruction: each Skip carries the summed weight of
+/// its block's direct instructions (a block is straight-line between
+/// guards, so all of them run when the guard holds) and the unguarded
+/// instructions' weight is added once per instant. Both counters live in
+/// locals inside the loop and are stored once per instant.
 ///
 /// stepN() runs a whole batch of instants with one environment crossing
-/// per descriptor: free-clock ticks and input values are fetched up
-/// front through the bulk exchange API, outputs are buffered and flushed
-/// once at batch end in exactly the order an unbatched run would record
-/// them. Slots stay hot across the batch; traces and counters are
-/// bit-identical to N calls of step().
+/// per descriptor (BatchIO): ticks and inputs are prefetched into typed
+/// columns, outputs buffered as slots and flushed once at batch end in
+/// exactly the order an unbatched run would record them. Traces and
+/// counters are bit-identical to N calls of step(). In the steady state
+/// an instant performs zero heap allocations (pinned by vm_alloc_test).
 ///
 /// stepLane() is the same batch over a caller-owned delay-state block
+/// (the same Slot array the native tier's `sigc_native_set_state` reads)
 /// and binding: one executor steps any number of instances in turn,
 /// which is all a fleet is (see FleetExecutor).
 ///
@@ -31,24 +51,14 @@
 #ifndef SIGNALC_INTERP_VMEXECUTOR_H
 #define SIGNALC_INTERP_VMEXECUTOR_H
 
+#include "interp/BatchIO.h"
 #include "interp/CompiledStep.h"
 #include "interp/Environment.h"
+#include "interp/StepKinds.h"
 
 #include <vector>
 
 namespace sigc {
-
-/// An environment bound to a CompiledStep: descriptor ids, the batch
-/// flush table (flush position -> output id) and the identity() it was
-/// resolved against. Executors cache one; a fleet keeps one per lane.
-struct BoundEnv {
-  StepBindings Ids;
-  std::vector<EnvOutputId> FlushIds;
-  uint64_t Identity = 0;
-};
-
-/// Resolves \p Env against \p CS (cold path: interns names, allocates).
-BoundEnv bindEnv(Environment &Env, const CompiledStep &CS);
 
 /// Instruction-dispatch strategy of the interpreter loop. Direct-threaded
 /// dispatch (GNU labels-as-values: one indirect `goto *` per instruction,
@@ -97,7 +107,7 @@ public:
   /// stepN over a caller-owned lane: \p State is the lane's delay-state
   /// block (CS.StateInit.size() slots, updated in place) and \p B its
   /// binding to \p Env. Counters accumulate here, as for stepN.
-  void stepLane(Environment &Env, const BoundEnv &B, Value *State,
+  void stepLane(Environment &Env, const BoundEnv &B, Slot *State,
                 unsigned Start, unsigned Count);
 
   /// Runs \p Count reactions starting at instant 0.
@@ -118,7 +128,7 @@ public:
   /// Presence of watch slot \p Watch at batch-relative instant \p I of
   /// the last stepN.
   bool watchPresence(size_t Watch, unsigned I) const {
-    return WatchBuf[Watch * BatchCap + I] != 0;
+    return WatchBuf[Watch * IO.capacity() + I] != 0;
   }
 
   /// Guard tests performed so far: one per SkipIfAbsent reached (a block
@@ -133,18 +143,17 @@ public:
 
   /// Post-step inspection (testing, linked dynamic checks).
   bool clockPresent(int Slot) const { return ClockSlots[Slot] != 0; }
-  const Value &value(int Slot) const { return ValueSlots[Slot]; }
 
   //===--- State exchange (tier hot-swap, tests) --------------------------===//
 
   /// The delay-state slots as they stand now. Taken at a batch boundary
   /// this is the complete execution state beyond the stimulus itself —
   /// what the native tier imports on a VM->native hot swap.
-  const std::vector<Value> &stateSlots() const { return StateSlots; }
+  const std::vector<Slot> &stateSlots() const { return StateSlots; }
 
   /// Restores delay state captured by stateSlots() (a native->VM swap or
   /// a checkpoint restore). Sizes must match the compiled step.
-  void setStateSlots(const std::vector<Value> &S);
+  void setStateSlots(const std::vector<Slot> &S);
 
   /// Seeds the guard/executed counters (a swap carries them across tiers
   /// so a swapped run's totals equal an uninterrupted run's).
@@ -153,34 +162,44 @@ public:
     Executed = Instrs;
   }
 
+  /// One typed instruction. Skip: A clock, T target, B block weight;
+  /// Write: A value, B flush position, C descriptor; Select: C clock;
+  /// otherwise T destination, A/B operands (descriptors for reads).
+  struct TInstr {
+    uint8_t Op = 0;
+    int32_t T = -1;
+    int32_t A = -1;
+    int32_t B = -1;
+    int32_t C = -1;
+  };
+
 private:
   /// One instant's PC walk; \p Port supplies ticks/inputs and receives
   /// outputs (direct environment queries or batch buffers); \p State is
   /// the delay-state block the instant reads and updates.
   template <typename Port>
-  void execInstant(Port &P, Value *State, unsigned Instant);
+  void execInstant(Port &P, Slot *State, unsigned Instant);
   /// The two dispatch loops over the same op bodies.
   template <typename Port>
-  void execInstantSwitch(Port &P, Value *State, unsigned Instant);
+  void execInstantSwitch(Port &P, Slot *State, unsigned Instant);
   template <typename Port>
-  void execInstantGoto(Port &P, Value *State, unsigned Instant);
+  void execInstantGoto(Port &P, Slot *State, unsigned Instant);
 
   const CompiledStep &CS;
   bool UseGoto = computedGotoAvailable();
   BoundEnv Bind; ///< The environment of step()/stepN().
+  std::vector<TInstr> Code;  ///< Typed code, Halt-terminated.
+  uint64_t RootWeight = 0;   ///< Executed per instant outside any guard.
+  std::vector<Slot> Consts;  ///< Constant slots, copied after scratch.
+  std::vector<Slot> StateInit;
   std::vector<char> ClockSlots;
-  std::vector<Value> ValueSlots; ///< Values, then scratch slots.
-  std::vector<Value> StateSlots;
+  std::vector<Slot> Frame;   ///< Values, scratch, conversions, constants.
+  std::vector<Slot> StateSlots;
   uint64_t GuardTests = 0;
   uint64_t Executed = 0;
 
   //===--- Batch state ----------------------------------------------------===//
-  unsigned BatchCap = 0;               ///< Capacity of all batch buffers.
-  std::vector<unsigned char> TickBuf;  ///< [clock desc][instant].
-  std::vector<Value> InBuf;            ///< [input desc][instant].
-  std::vector<unsigned char> OutPresent; ///< [instant][flush position].
-  std::vector<Value> OutVals;            ///< [instant][flush position].
-  std::vector<int32_t> FlushPos;       ///< Output desc -> flush position.
+  BatchIO IO;
   std::vector<int> WatchSlots;
   std::vector<unsigned char> WatchBuf; ///< [watch][instant].
 };

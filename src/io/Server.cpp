@@ -63,7 +63,7 @@ struct QueueSink : TraceSink {
 /// A lane-state snapshot at a frame boundary.
 struct Checkpoint {
   unsigned Instant = 0;
-  std::vector<Value> State;
+  std::vector<Slot> State;
 };
 
 /// What survives a disconnected session for a later resume.

@@ -3,6 +3,7 @@
 #include "link/StepFusion.h"
 
 #include <algorithm>
+#include <cassert>
 #include <climits>
 #include <map>
 #include <set>
@@ -394,9 +395,16 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
       std::vector<int> ReadersSince;
     };
     std::map<std::pair<int, int32_t>, SlotUse> Use;
-    std::set<std::pair<int, int>> Edges; // (from, to), deduped
+    // Every edge into instruction I is added while I is processed, so an
+    // edge From -> I is a duplicate exactly when From was last stamped
+    // with I: one stamp per source dedupes without a set.
+    std::vector<int> Stamp(L.size(), -1);
+    int Current = -1; // The instruction being processed.
     auto addEdge = [&](int From, int To) {
-      if (From >= 0 && From != To && Edges.emplace(From, To).second) {
+      assert(To == Current && "edge added outside its target's turn");
+      (void)Current;
+      if (From >= 0 && From != To && Stamp[From] != To) {
+        Stamp[From] = To;
         Succs[U][From].push_back(To);
         ++PredsLeft[U][To];
       }
@@ -416,6 +424,7 @@ FusionResult sigc::fuseLinkedSteps(const LinkedSystem &Sys,
     };
     for (size_t IS = 0; IS < L.size(); ++IS) {
       int I = static_cast<int>(IS);
+      Current = I;
       const VmInstr &In = L[IS].In;
       for (int32_t G : L[IS].Guards)
         read(I, SKClock, G);

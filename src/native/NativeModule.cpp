@@ -17,18 +17,18 @@ namespace {
 /// keeps the cache independent of the user-visible process name.
 const char *UnitName = "sigc_unit";
 
-/// Which NativeValue field carries a value of type \p T — mirrors the
-/// emitter's C storage classes (Integer -> long, Real -> double,
-/// Boolean/Event/Unknown -> int).
-const char *fieldOf(TypeKind T) {
-  switch (T) {
-  case TypeKind::Integer:
-    return "i";
-  case TypeKind::Real:
-    return "d";
-  default:
-    return "b";
-  }
+/// The sigc_native_value_t member a value of kind \p T lives in.
+const char *fieldOf(TypeKind T) { return isRealSlot(T) ? "d" : "i"; }
+
+/// The emitter's C type of kind \p T (the struct field types).
+const char *cTypeOf(TypeKind T) {
+  return T == TypeKind::Integer ? "long" : T == TypeKind::Real ? "double"
+                                                              : "int";
+}
+
+/// The C type of the sigc_native_value_t member of kind \p T.
+const char *fieldTypeOf(TypeKind T) {
+  return isRealSlot(T) ? "double" : "long";
 }
 
 } // namespace
@@ -44,7 +44,7 @@ std::string NativeModule::buildSource(const CompiledStep &CS,
 
   Out += "\n/* ---- signalc native tier shim (ABI v" +
          std::to_string(NativeFormatVersion) + ") ---- */\n";
-  Out += "typedef struct { double d; long i; int b; } sigc_native_value_t;\n\n";
+  Out += "typedef union { long i; double d; } sigc_native_value_t;\n\n";
   Out += "int sigc_native_abi_tag(void) { return " +
          std::to_string(NativeFormatVersion) + "; }\n";
   Out += "const char *sigc_native_hash(void) { return \"" + Hash + "\"; }\n";
@@ -56,8 +56,8 @@ std::string NativeModule::buildSource(const CompiledStep &CS,
   Out += "void sigc_native_init(void *stv) { "
          "sigc_unit_init((sigc_unit_state_t *)stv); }\n\n";
 
-  // State accessors: slot <-> NativeValue field by the initializer kind,
-  // the same rule that typed the struct fields.
+  // State accessors: slot <-> NativeValue member by the initializer
+  // kind, the same rule that typed the struct fields.
   Out += "void sigc_native_get_state(const void *stv, sigc_native_value_t "
          "*out) {\n"
          "  const sigc_unit_state_t *st = (const sigc_unit_state_t *)stv;\n";
@@ -71,13 +71,10 @@ std::string NativeModule::buildSource(const CompiledStep &CS,
   Out += "void sigc_native_set_state(void *stv, const sigc_native_value_t "
          "*in) {\n"
          "  sigc_unit_state_t *st = (sigc_unit_state_t *)stv;\n";
-  for (size_t I = 0; I < CS.StateInit.size(); ++I) {
-    const char *CTy = CS.StateInit[I].Kind == TypeKind::Integer ? "long"
-                      : CS.StateInit[I].Kind == TypeKind::Real ? "double"
-                                                               : "int";
-    Out += "  st->s" + std::to_string(I) + " = (" + CTy + ")in[" +
-           std::to_string(I) + "]." + fieldOf(CS.StateInit[I].Kind) + ";\n";
-  }
+  for (size_t I = 0; I < CS.StateInit.size(); ++I)
+    Out += "  st->s" + std::to_string(I) + " = (" +
+           cTypeOf(CS.StateInit[I].Kind) + ")in[" + std::to_string(I) +
+           "]." + fieldOf(CS.StateInit[I].Kind) + ";\n";
   if (CS.StateInit.empty())
     Out += "  (void)st; (void)in;\n";
   Out += "}\n\n";
@@ -110,19 +107,23 @@ std::string NativeModule::buildSource(const CompiledStep &CS,
            " = ticks[" + std::to_string(D) + "ul * tick_stride + i];\n";
   for (size_t D = 0; D < CS.Inputs.size(); ++D) {
     const auto &SI = CS.Inputs[D];
-    Out += "    in_s." + sanitizeIdent(SI.Name) + " = ins[" +
-           std::to_string(D) + "ul * in_stride + i]." + fieldOf(SI.Type) +
-           ";\n";
+    Out += "    in_s." + sanitizeIdent(SI.Name) + " = (" + cTypeOf(SI.Type) +
+           ")ins[" + std::to_string(D) + "ul * in_stride + i]." +
+           fieldOf(SI.Type) + ";\n";
   }
   Out += "    sigc_unit_step(st, &in_s, &out_s);\n";
+  // Outputs leave in the kind the step writes, which the VM's flush
+  // reads too (it can differ from the declared type: an integer
+  // expression assigned to a real output).
+  std::vector<TypeKind> OutKinds = computeStepKinds(CS).OutputKinds;
   for (size_t Pos = 0; Pos < CS.OutputFlushOrder.size(); ++Pos) {
-    const auto &SO = CS.Outputs[CS.OutputFlushOrder[Pos]];
-    std::string Id = sanitizeIdent(SO.Name);
+    int32_t Desc = CS.OutputFlushOrder[Pos];
+    std::string Id = sanitizeIdent(CS.Outputs[Desc].Name);
     std::string At = "i * " + NOut + "u + " + std::to_string(Pos) + "u";
     Out += "    outp[" + At + "] = (unsigned char)out_s." + Id +
            "_present;\n";
-    Out += "    outv[" + At + "]." + fieldOf(SO.Type) + " = out_s." + Id +
-           ";\n";
+    Out += "    outv[" + At + "]." + fieldOf(OutKinds[Desc]) + " = (" +
+           fieldTypeOf(OutKinds[Desc]) + ")out_s." + Id + ";\n";
   }
   Out += "  }\n}\n";
   return Out;

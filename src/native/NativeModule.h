@@ -17,10 +17,16 @@
 ///     across the VM<->native boundary, which is what makes hot swap at
 ///     a batch boundary a plain state copy.
 ///
-/// Values cross the boundary as `NativeValue`, a POD mirroring the three
-/// C storage classes of the emitter's type mapping (double/long/int);
-/// the host reconstructs tagged `Value`s from the declared descriptor
-/// types, the same rule the differential oracle's C round-trip leg uses.
+/// Values cross the boundary as `NativeValue`, which is the VM's own
+/// 8-byte Slot: the shim's `sigc_native_value_t` is the same union
+/// (`long i; double d;`), and every slot holds the representation of its
+/// kind — integers in `i`, reals in `d`, booleans and events as 0/1 in
+/// `i`. Delay state crosses in StateInit's kinds, inputs in their
+/// declared types, outputs in the kind the step writes
+/// (StepKinds::OutputKinds), so a fleet lane block or a `--serve`
+/// checkpoint is handed to `sigc_native_set_state` as is, and BatchIO's
+/// typed columns feed `sigc_native_run` directly. NativeFormatVersion 3
+/// is this slot ABI; an artifact of an earlier version is rebuilt.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,19 +34,14 @@
 #define SIGNALC_NATIVE_NATIVEMODULE_H
 
 #include "interp/CompiledStep.h"
+#include "interp/StepKinds.h"
 
 #include <string>
 
 namespace sigc {
 
-/// POD value crossing the host/native boundary. Mirrors the emitter's
-/// C storage classes; which field is live is determined by the declared
-/// descriptor or slot type on the host side.
-struct NativeValue {
-  double D;
-  long I;
-  int B;
-};
+/// A value crossing the host/native boundary.
+using NativeValue = Slot;
 
 /// Loaded native artifact: dlopen handle plus resolved entry points.
 class NativeModule {

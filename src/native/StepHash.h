@@ -26,7 +26,7 @@ namespace sigc {
 /// Bumped whenever the generated shim ABI or the hashed serialization
 /// changes; stale cache entries from older binaries then miss instead of
 /// loading with a wrong shape.
-constexpr int NativeFormatVersion = 2;
+constexpr int NativeFormatVersion = 3;
 
 /// The flags every cached artifact is compiled with (part of the hash, so
 /// changing them invalidates the cache).

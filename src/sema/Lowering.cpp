@@ -6,6 +6,15 @@
 
 using namespace sigc;
 
+/// A delay's initial value as a value of the delayed signal's type \p T:
+/// an integer init of a real signal widens, so the memory holds one
+/// kind from the first instant on.
+static Value initOfType(const Value &Init, TypeKind T) {
+  if (T == TypeKind::Real && Init.Kind == TypeKind::Integer)
+    return Value::makeReal(static_cast<double>(Init.Int));
+  return Init;
+}
+
 /// Working state of one lowering run.
 struct Sema::LowerState {
   KernelProgram Prog;
@@ -261,7 +270,7 @@ bool Sema::lowerInto(LowerState &LS, SignalId Target, const Expr *E) {
       Stage.Target = StageTarget;
       Stage.Loc = E->loc();
       Stage.DelaySource = Prev;
-      Stage.DelayInit = D->init();
+      Stage.DelayInit = initOfType(D->init(), Ty);
       LS.Prog.Equations.push_back(Stage);
       Prev = StageTarget;
     }
@@ -356,7 +365,7 @@ bool Sema::lowerInto(LowerState &LS, SignalId Target, const Expr *E) {
     ZEq.Target = Z;
     ZEq.Loc = E->loc();
     ZEq.DelaySource = Target;
-    ZEq.DelayInit = C->init();
+    ZEq.DelayInit = initOfType(C->init(), Ty);
     LS.Prog.Equations.push_back(ZEq);
 
     Eq.Kind = KernelEqKind::Default;

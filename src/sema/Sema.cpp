@@ -130,8 +130,9 @@ TypeKind Sema::checkExpr(const ProcessDecl &D, Expr *E) {
       Diags.error(E->loc(), "'$' cannot be applied to an event signal");
       return TypeKind::Unknown;
     }
-    if (!typesCompatible(T, Dl->init().Kind) &&
-        !typesCompatible(Dl->init().Kind, T)) {
+    // The init must be a value of the delayed signal's type (integers
+    // widen to real): the memory holds one kind from the first instant.
+    if (!typesCompatible(T, Dl->init().Kind)) {
       Diags.error(E->loc(),
                   std::string("'init' value type ") +
                       typeName(Dl->init().Kind) +

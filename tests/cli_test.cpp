@@ -131,6 +131,32 @@ TEST(Cli, FleetSimulationRunsFromTheCli) {
   EXPECT_LT(I1, I2);
 }
 
+TEST(Cli, ThreadsWithoutFleetIsWarnedNotIgnored) {
+  // Only a fleet shards over threads; a scalar run must say so rather
+  // than silently run on one thread.
+  CliResult R = runSignalc("--builtin FIG5_ALARM --simulate 3 --threads 4");
+  EXPECT_EQ(R.Exit, 0) << R.Output;
+  EXPECT_NE(R.Output.find("warning: --threads is ignored without --fleet"),
+            std::string::npos)
+      << R.Output;
+  CliResult F = runSignalc(
+      "--builtin FIG5_ALARM --simulate 3 --fleet 2 --threads 2");
+  EXPECT_EQ(F.Exit, 0) << F.Output;
+  EXPECT_EQ(F.Output.find("--threads is ignored"), std::string::npos)
+      << F.Output;
+}
+
+TEST(Cli, ThreadsUnderServeIsWarnedNotIgnored) {
+  // The server steps its sessions on one thread. The socket path cannot
+  // be bound, so the server exits right after the flag check.
+  CliResult R = runSignalc("--builtin FIG5_ALARM --serve "
+                           "/nonexistent-signalc-dir/s.sock --threads 4");
+  EXPECT_EQ(R.Exit, 2) << R.Output;
+  EXPECT_NE(R.Output.find("warning: --threads is ignored under --serve"),
+            std::string::npos)
+      << R.Output;
+}
+
 TEST(Cli, FleetInstanceReplaysTheScalarSeed) {
   // Fleet instance j draws from seed S + j: instance 1 of a seed-5 fleet
   // must print exactly the trace of a scalar run with seed 6.

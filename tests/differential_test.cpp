@@ -219,6 +219,35 @@ TEST(DifferentialEmitC, BooleanVsEventComparisonMatchesValueSemantics) {
   EXPECT_TRUE(R.CRoundTripRan);
 }
 
+TEST(DifferentialEmitC, EventArmOfBooleanDefaultKeepsOneStaticKind) {
+  // Z merges an event arm with a boolean arm; sema types Z boolean, and
+  // comparing it with a boolean must read the same in the typed VM (one
+  // kind per slot, resolved before the run), the emitted C and the
+  // tagged reference interpreter, and across a native hot swap.
+  if (!hostCCompilerAvailable())
+    GTEST_SKIP() << "no host C compiler";
+  for (const char *Op : {"=", "/="}) {
+    std::string Source = std::string("process P =\n"
+                                     "  ( ? boolean B; ! boolean Y; )\n"
+                                     "  (| E := when B\n"
+                                     "   | Z := E default B\n"
+                                     "   | Y := Z ") +
+                         Op +
+                         " B\n"
+                         "  |) where event E; boolean Z; end;\n";
+    OracleOptions O;
+    O.Instants = 32;
+    O.EnvSeed = 17;
+    O.EmitCRoundTrip = true;
+    O.NativeSwap = true;
+    OracleReport R = checkDifferential(std::string("event-seam ") + Op,
+                                       Source, O);
+    EXPECT_TRUE(R.Ok) << Op << ": " << R.Error;
+    EXPECT_TRUE(R.CRoundTripRan) << Op;
+    EXPECT_TRUE(R.NativeSwapRan) << Op;
+  }
+}
+
 TEST(DifferentialEmitC, RandomPrograms) {
   if (!hostCCompilerAvailable())
     GTEST_SKIP() << "no host C compiler";

@@ -397,6 +397,43 @@ TEST(NativeCache, AbiTagMismatchIsDiscarded) {
   EXPECT_FALSE(Gone.good());
 }
 
+TEST(NativeCache, PreviousAbiArtifactIsRebuiltNeverLoaded) {
+  // ABI 2 passed tagged 24-byte value structs; ABI 3 passes the VM's
+  // 8-byte slots. An ABI-2 artifact in the cache (here even under the
+  // current hash, the worst case: the version also feeds the hash) must
+  // be rejected with a diagnostic and rebuilt, never run.
+  if (!nativeCompileAvailable())
+    GTEST_SKIP() << "no host C compiler";
+  ASSERT_EQ(NativeFormatVersion, 3);
+  auto C = compileOk(sampleSource());
+  TempCacheDir Dir;
+  NativeCache Cache(Dir.Path);
+  std::string Hash = hashCompiledStep(C->Compiled), Err;
+
+  std::string Src = NativeModule::buildSource(C->Compiled, Hash);
+  std::string Needle = "int sigc_native_abi_tag(void) { return 3; }";
+  size_t At = Src.find(Needle);
+  ASSERT_NE(At, std::string::npos);
+  Src.replace(At, Needle.size(),
+              "int sigc_native_abi_tag(void) { return 2; }");
+  ASSERT_TRUE(compileSharedObject(Src, Cache.soPath(Hash), Err)) << Err;
+
+  TierOptions O;
+  O.Mode = NativeMode::Force;
+  O.CacheDir = Dir.Path;
+  TierController TC(C->Compiled, O);
+  ASSERT_TRUE(TC.start()) << TC.error();
+  EXPECT_FALSE(TC.cacheHit());
+  EXPECT_NE(TC.error().find("ABI tag mismatch: artifact v2, runtime v3"),
+            std::string::npos)
+      << TC.error();
+  ASSERT_NE(TC.module(), nullptr);
+  expectSameRun(runVm(C->Compiled, 6, 40, 8), "vm",
+                runNative(C->Compiled, *TC.module(), 6, 40, 8), "rebuilt");
+  // The rebuilt artifact replaced the old one: the next lookup hits.
+  EXPECT_NE(Cache.tryLoad(Hash, Err), nullptr) << Err;
+}
+
 TEST(NativeCache, FailedCompileLeavesNoArtifact) {
   if (!nativeCompileAvailable())
     GTEST_SKIP() << "no host C compiler";
@@ -561,17 +598,18 @@ TEST(FleetNative, LaneCheckpointsSurviveNativeWindows) {
   Fleet F(C->Compiled, 3, 0xC4EC, Cfg);
   F.Exec->setNative(M.get());
   F.Exec->stepN(F.Envs, 0, 24);
-  std::vector<Value> Snap;
+  std::vector<Slot> Snap;
   F.Exec->saveLaneState(1, Snap);
 
   Fleet G(C->Compiled, 3, 0xC4EC, Cfg);
   G.Exec->stepN(G.Envs, 0, 24);
-  std::vector<Value> Ref;
+  std::vector<Slot> Ref;
   G.Exec->saveLaneState(1, Ref);
 
+  // Both tiers write the one slot format: the blocks are bit-identical.
   ASSERT_EQ(Snap.size(), Ref.size());
   for (size_t S = 0; S < Snap.size(); ++S)
-    EXPECT_EQ(Snap[S].Kind, Ref[S].Kind) << "slot " << S;
+    EXPECT_EQ(Snap[S].I, Ref[S].I) << "slot " << S;
 
   // Restoring the native-tier checkpoint into the interpreted fleet and
   // continuing matches the all-interpreted continuation.

@@ -140,6 +140,25 @@ TEST(Sema, DelayOfConstantRejected) {
 TEST(Sema, DelayInitTypeMismatch) {
   compileErr(proc("? integer A; ! integer Y;", "   Y := A $ 1 init true"),
              CompileStage::Sema);
+  // A real init would hold an integer memory in another kind than the
+  // values stored after it.
+  compileErr(proc("? integer A; ! integer Y;", "   Y := A $ 1 init 0.5"),
+             CompileStage::Sema);
+}
+
+TEST(Sema, IntegerInitOfARealDelayWidens) {
+  // The memory holds one kind from the first instant on: the typed
+  // slots of the VM, the emitted C and the reference interpreter all
+  // read the init as a real.
+  auto C = compileOk(proc("? real A; ! real Y;", "   Y := A $ 1 init 1"));
+  unsigned Delays = 0;
+  for (const KernelEq &Eq : C->Kernel->Equations)
+    if (Eq.Kind == KernelEqKind::Delay) {
+      ++Delays;
+      EXPECT_EQ(Eq.DelayInit.Kind, TypeKind::Real);
+      EXPECT_EQ(Eq.DelayInit.Real, 1.0);
+    }
+  EXPECT_EQ(Delays, 1u);
 }
 
 TEST(Sema, DeepDelayExpandsToChain) {

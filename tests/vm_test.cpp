@@ -340,6 +340,48 @@ TEST(VmDispatch, GotoMatchesSwitchOnBuiltinSuite) {
   }
 }
 
+TEST(VmDispatch, BlockWeightsCountExactlyOnEveryBuiltin) {
+  // The typed VM adds Executed once per block (each Skip carries its
+  // block's summed weight) plus a root weight per instant. The flat
+  // layout guards every step instruction on its own, so its count is
+  // per instruction; the nested block sums must land on it exactly,
+  // under both dispatchers, with traces equal to the reference
+  // interpreter's.
+  std::vector<std::pair<std::string, std::string>> Programs = {
+      {"FIG5_ALARM", alarmFigure5Source()}};
+  for (const Figure13Program &P : figure13Suite())
+    Programs.push_back({P.Name, P.Source});
+  ASSERT_EQ(Programs.size(), 8u);
+  const unsigned Instants = 64;
+  for (const auto &[Name, Source] : Programs) {
+    auto C = compileSource("<typed:" + Name + ">", Source);
+    ASSERT_TRUE(C->Ok) << Name;
+    RandomEnvironment EnvRef(23);
+    KernelInterp Ref(*C->Kernel, C->Clocks, *C->Forest, C->names());
+    ASSERT_TRUE(Ref.run(EnvRef, Instants)) << Name;
+    const std::string RefTrace =
+        formatEvents(canonicalTrace(EnvRef.outputs()));
+    CompiledStep FlatCS = buildFlat(*C), NestedCS = buildVm(*C);
+    for (VmDispatch D : {VmDispatch::Switch, VmDispatch::Goto}) {
+      uint64_t FlatExecuted = 0;
+      for (const CompiledStep *CS : {&FlatCS, &NestedCS}) {
+        const char *Layout = CS == &FlatCS ? "flat" : "nested";
+        RandomEnvironment Env(23);
+        VmExecutor X(*CS);
+        X.setDispatch(D);
+        X.runBatched(Env, Instants, 5);
+        EXPECT_EQ(formatEvents(canonicalTrace(Env.outputs())), RefTrace)
+            << Name << " " << Layout;
+        if (CS == &FlatCS)
+          FlatExecuted = X.executed();
+        else
+          EXPECT_EQ(X.executed(), FlatExecuted) << Name;
+        EXPECT_GT(X.executed(), 0u) << Name << " " << Layout;
+      }
+    }
+  }
+}
+
 TEST(VmDispatch, SwitchOverrideSurvivesResetAndRebind) {
   auto C = compileOk(proc("? integer A; ! integer Y;",
                           "   Y := A + (Y $ 1 init 0)"));
