@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #if !defined(SIGC_VM_NO_COMPUTED_GOTO) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -219,7 +220,7 @@ private:
   int32_t constSlot(Slot V) {
     int32_t Base = ConvBase + 2;
     for (size_t I = 0; I < Consts.size(); ++I)
-      if (Consts[I].I == V.I)
+      if (std::memcmp(&Consts[I], &V, sizeof V) == 0)
         return Base + static_cast<int32_t>(I);
     Consts.push_back(V);
     return Base + static_cast<int32_t>(Consts.size()) - 1;

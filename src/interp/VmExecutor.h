@@ -10,8 +10,9 @@
 /// before the first instant:
 ///
 ///   * operators become opcodes specialised by operator and kind (AddI,
-///     AddD, LtI, EqB, ...), so an instruction body is one C++ statement
-///     on one Slot member, with no tag test and no out-of-line call,
+///     AddD, LtI, EqD, ...; booleans and events compare as 0/1 with
+///     EqI), so an instruction body is one C++ statement on one Slot
+///     member, with no tag test and no out-of-line call,
 ///   * constant operands are slots, so binary operations have a single
 ///     slot-slot form and a constant load is a copy,
 ///   * where the tagged Value semantics widened an integer to real, the

@@ -8,9 +8,8 @@
 /// exchangeOutputs() in the order an unbatched VM run records them.
 /// Traces and the guard/executed counters (maintained inside the native
 /// state struct, VM-exactly, by the emitter) are byte-identical to the
-/// VM's —
-/// which is what lets the tier controller hot-swap a session onto this
-/// executor at any batch boundary: importState() takes the VM's delay
+/// VM's — which is what lets the tier controller hot-swap a session onto
+/// this executor at any batch boundary: importState() takes the VM's delay
 /// slots and counters, exportState() hands them back. stepLane() runs a
 /// batch over a caller-owned Slot state block instead, handing the lane
 /// pointer straight to `sigc_native_set_state`/`get_state`, which is how
