@@ -2,8 +2,6 @@
 
 #include "interp/BatchIO.h"
 
-#include <algorithm>
-
 using namespace sigc;
 
 BoundEnv sigc::bindEnv(Environment &Env, const CompiledStep &CS) {
@@ -51,8 +49,6 @@ void BatchIO::prefetch(Environment &Env, const BoundEnv &B, unsigned Start,
     for (unsigned I = 0; I < Count; ++I)
       Col[I] = toSlot(InVals[I], InKinds[D]);
   }
-  std::fill_n(OutPresent.begin(),
-              static_cast<size_t>(Count) * FlushKinds.size(), 0);
 }
 
 void BatchIO::flush(Environment &Env, const BoundEnv &B, unsigned Start,

@@ -53,8 +53,9 @@ public:
   void reserve(unsigned MaxCount);
   unsigned capacity() const { return Cap; }
 
-  /// Fills the tick and input columns for instants [Start, Start+Count)
-  /// and clears the output presence rows; reserves as needed.
+  /// Fills the tick and input columns for instants [Start, Start+Count);
+  /// reserves as needed. The step fills every output presence row of the
+  /// window before flush().
   void prefetch(Environment &Env, const BoundEnv &B, unsigned Start,
                 unsigned Count);
   /// Delivers the output rows of instants [Start, Start+Count).

@@ -4,15 +4,6 @@
 
 using namespace sigc;
 
-namespace {
-
-/// The emitted C type of a kind: 0 int, 1 long, 2 double.
-int storageClass(TypeKind T) {
-  return T == TypeKind::Integer ? 1 : T == TypeKind::Real ? 2 : 0;
-}
-
-} // namespace
-
 std::vector<Slot> sigc::initialState(const CompiledStep &CS) {
   std::vector<Slot> S;
   S.reserve(CS.StateInit.size());
@@ -128,11 +119,16 @@ StepKinds sigc::computeStepKinds(const CompiledStep &CS) {
     case VmOp::Select:
       IK.A = read(In.A);
       IK.B = read(In.B);
-      // Sema rejects defaults whose arms mix integer and real, so the
-      // arms share a C storage class here; an event arm against a
-      // boolean arm differs in kind only, and both are 0/1.
-      IK.Res = storageClass(IK.A) == storageClass(IK.B) ? IK.A
-                                                        : TypeKind::Real;
+      // Sema admits arms of different kinds only as an integer value of
+      // a real signal against a real arm, or an event against a boolean.
+      // The default takes the join (real, or boolean: an event is an
+      // always-true boolean), which the narrower arm converts to.
+      if (IK.A == IK.B)
+        IK.Res = IK.A;
+      else if (isRealSlot(IK.A) || isRealSlot(IK.B))
+        IK.Res = TypeKind::Real;
+      else
+        IK.Res = TypeKind::Boolean;
       write(In.Target, IK.Res);
       break;
     case VmOp::LoadDelay:

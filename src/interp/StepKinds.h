@@ -9,9 +9,10 @@
 /// assigns every value operand and result a static TypeKind: inputs take
 /// their declared type, delay loads their initializer's kind, operators
 /// the kind evalBinaryValue/evalUnaryValue would give their operands'
-/// kinds. Guards only skip code, so the linear walk sees the kinds every
-/// execution sees. This is the typing rule: the emitted C declares its
-/// locals from it and the VM picks its kind-specialised opcodes from it.
+/// kinds, defaults the join of their arms' kinds. Guards only skip
+/// code, so the linear walk sees the kinds every execution sees. This is
+/// the typing rule: the emitted C declares its locals from it and the VM
+/// picks its kind-specialised opcodes from it.
 ///
 /// A Slot holds a value in the representation its static kind implies:
 /// integers in I, reals in D, booleans and events as 0/1 in I. Which

@@ -226,10 +226,10 @@ private:
     return Base + static_cast<int32_t>(Consts.size()) - 1;
   }
 
-  /// Operand \p Which (0 = A, 1 = B) of binary \p In as a slot of kind
-  /// \p K is a real slot when \p AsReal: constants convert at build
-  /// time, integer slots through a ToD into the operand's conversion
-  /// slot.
+  /// The frame slot of operand \p Which (0 = A, 1 = B; of kind \p K) of
+  /// binary or select \p In, widened to real when \p AsReal and \p K is
+  /// integer: a constant converts at build time, a slot through a ToD
+  /// into the operand's conversion slot.
   int32_t operand(const VmInstr &In, int Which, TypeKind K, bool AsReal) {
     bool IsConst = Which == 0 ? In.Op == VmOp::BinaryCS
                               : In.Op == VmOp::BinarySC;
@@ -333,10 +333,14 @@ private:
     case VmOp::LoadConst:
       return emit(TOp::Copy, In.Target,
                   constSlot(toSlot(CS.Consts[In.Aux], IK.Res)));
-    case VmOp::Select:
-      assert(isRealSlot(IK.A) == isRealSlot(IK.B) &&
-             "default arms of different representations");
-      return emit(TOp::Select, In.Target, In.A, In.B, In.Aux);
+    case VmOp::Select: {
+      // An integer arm of a real default widens; an event arm of a
+      // boolean one is already 1.
+      const bool Real = isRealSlot(IK.Res);
+      int32_t A = operand(In, 0, IK.A, Real);
+      int32_t B = operand(In, 1, IK.B, Real);
+      return emit(TOp::Select, In.Target, A, B, In.Aux);
+    }
     case VmOp::LoadDelay:
       return emit(TOp::LoadDelay, In.Target, In.A);
     case VmOp::StoreDelay: {
@@ -541,6 +545,8 @@ void VmExecutor::stepLane(Environment &Env, const BoundEnv &B, Slot *State,
 
   const size_t Cap = IO.capacity();
   const size_t NumOut = CS.Outputs.size();
+  // Write marks only the outputs an instant produces.
+  std::fill_n(IO.OutPresent.begin(), Count * NumOut, 0);
   BatchPort P;
   P.Cap = Cap;
   for (unsigned I = 0; I < Count; ++I) {
