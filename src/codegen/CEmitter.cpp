@@ -73,7 +73,11 @@ const char *cTypeOf(CClass C) {
   return "int";
 }
 
-const char *cTypeOf(TypeKind T) { return cTypeOf(classOf(T)); }
+} // namespace
+
+const char *sigc::cTypeOf(TypeKind T) { return cTypeOf(classOf(T)); }
+
+namespace {
 
 unsigned classBit(CClass C) { return 1u << static_cast<unsigned>(C); }
 

@@ -57,6 +57,10 @@ std::string emitC(const CompiledStep &Step, const std::string &ProcName,
 /// Makes an arbitrary string a valid C identifier fragment.
 std::string sanitizeIdent(const std::string &Name);
 
+/// The C type the emitted code stores a value of kind \p T in (`long`,
+/// `double`, or `int` for booleans and events).
+const char *cTypeOf(TypeKind T);
+
 } // namespace sigc
 
 #endif // SIGNALC_CODEGEN_CEMITTER_H

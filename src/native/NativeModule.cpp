@@ -20,12 +20,6 @@ const char *UnitName = "sigc_unit";
 /// The sigc_native_value_t member a value of kind \p T lives in.
 const char *fieldOf(TypeKind T) { return isRealSlot(T) ? "d" : "i"; }
 
-/// The emitter's C type of kind \p T (the struct field types).
-const char *cTypeOf(TypeKind T) {
-  return T == TypeKind::Integer ? "long" : T == TypeKind::Real ? "double"
-                                                              : "int";
-}
-
 /// The C type of the sigc_native_value_t member of kind \p T.
 const char *fieldTypeOf(TypeKind T) {
   return isRealSlot(T) ? "double" : "long";
