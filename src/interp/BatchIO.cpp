@@ -16,15 +16,6 @@ BoundEnv sigc::bindEnv(Environment &Env, const CompiledStep &CS) {
   return B;
 }
 
-BatchIO::BatchIO(const CompiledStep &CS,
-                 const std::vector<TypeKind> &OutputKinds)
-    : CS(CS), OutKinds(OutputKinds) {
-  for (const auto &SI : CS.Inputs)
-    InKinds.push_back(SI.Type);
-  for (int32_t Desc : CS.OutputFlushOrder)
-    FlushKinds.push_back(OutKinds[Desc]);
-}
-
 void BatchIO::reserve(unsigned MaxCount) {
   if (MaxCount <= Cap)
     return;
@@ -47,18 +38,19 @@ void BatchIO::prefetch(Environment &Env, const BoundEnv &B, unsigned Start,
     Env.inputValues(B.Ids.Inputs[D], Start, Count, InVals.data());
     Slot *Col = &Ins[D * Cap];
     for (unsigned I = 0; I < Count; ++I)
-      Col[I] = toSlot(InVals[I], InKinds[D]);
+      Col[I] = toSlot(InVals[I], CS.Inputs[D].Type);
   }
 }
 
 void BatchIO::flush(Environment &Env, const BoundEnv &B, unsigned Start,
                     unsigned Count) {
-  const size_t NumOut = FlushKinds.size();
+  const size_t NumOut = CS.OutputFlushOrder.size();
   for (unsigned I = 0; I < Count; ++I)
     for (size_t Pos = 0; Pos < NumOut; ++Pos) {
       size_t At = I * NumOut + Pos;
       if (OutPresent[At])
-        OutVals[At] = toValue(Outs[At], FlushKinds[Pos]);
+        OutVals[At] = toValue(Outs[At],
+                              CS.Outputs[CS.OutputFlushOrder[Pos]].Type);
     }
   // One crossing back, in unbatched order.
   Env.exchangeOutputs(Start, Count, static_cast<unsigned>(NumOut),

@@ -11,9 +11,10 @@
 ///     slots by the input's declared type,
 ///   * the step fills row-major [instant][flush position] output buffers,
 ///   * flush() turns every present output slot back into a Value of the
-///     kind the step writes (StepKinds::OutputKinds) and hands the window
-///     to Environment::exchangeOutputs in the order an unbatched run
-///     records it.
+///     output's declared type (the step writes outputs in that
+///     representation) and hands the window to
+///     Environment::exchangeOutputs in the order an unbatched run records
+///     it.
 ///
 /// Columns are strided by capacity(), the layout `sigc_native_run` reads.
 ///
@@ -45,8 +46,7 @@ BoundEnv bindEnv(Environment &Env, const CompiledStep &CS);
 /// Batch buffers plus the Value <-> Slot conversions at their edges.
 class BatchIO {
 public:
-  /// \p OutputKinds: per output descriptor, the kind the step writes.
-  BatchIO(const CompiledStep &CS, const std::vector<TypeKind> &OutputKinds);
+  explicit BatchIO(const CompiledStep &CS) : CS(CS) {}
 
   /// Grows the buffers to batches of \p MaxCount instants (a one-time
   /// allocation; prefetch/flush never allocate below the capacity).
@@ -62,12 +62,6 @@ public:
   void flush(Environment &Env, const BoundEnv &B, unsigned Start,
              unsigned Count);
 
-  /// Declared type of input descriptor \p D (the unbatched VM path
-  /// converts with it too).
-  TypeKind inputKind(int32_t D) const { return InKinds[D]; }
-  /// Kind the step writes to output descriptor \p D.
-  TypeKind outputKind(int32_t D) const { return OutKinds[D]; }
-
   std::vector<unsigned char> Ticks;      ///< [clock desc][instant].
   std::vector<Slot> Ins;                 ///< [input desc][instant].
   std::vector<unsigned char> OutPresent; ///< [instant][flush position].
@@ -76,9 +70,6 @@ public:
 private:
   const CompiledStep &CS;
   unsigned Cap = 0;
-  std::vector<TypeKind> InKinds;    ///< Per input descriptor.
-  std::vector<TypeKind> OutKinds;   ///< Per output descriptor.
-  std::vector<TypeKind> FlushKinds; ///< Per flush position.
   std::vector<Value> InVals;        ///< One fetched column.
   std::vector<Value> OutVals;       ///< [instant][flush position].
 };

@@ -2,6 +2,8 @@
 
 #include "interp/KernelInterp.h"
 
+#include "interp/StepKinds.h"
+
 #include <cassert>
 
 using namespace sigc;
@@ -233,10 +235,14 @@ bool KernelInterp::step(Environment &Env, unsigned Instant) {
       return false;
 
   // Outputs, through the ids bound once — no name re-materialization per
-  // event.
+  // event. They leave in their declared types, as the compiled tiers and
+  // the trace codec present them; the signals' own values keep their
+  // tags.
   for (SignalId S : Prog.outputs())
-    if (Present[S])
-      Env.writeOutput(OutputId[S], Instant, Values[S]);
+    if (Present[S]) {
+      TypeKind T = Prog.Signals[S].Type;
+      Env.writeOutput(OutputId[S], Instant, toValue(toSlot(Values[S], T), T));
+    }
 
   // Advance delay memories.
   for (unsigned DI = 0; DI < DelayEqIndex.size(); ++DI) {

@@ -47,9 +47,6 @@ StepKinds sigc::computeStepKinds(const CompiledStep &CS) {
   StepKinds K;
   K.Instr.assign(CS.Code.size(), InstrKinds());
   K.SlotKinds.assign(NumSlots, 0u);
-  K.OutputKinds.reserve(CS.Outputs.size());
-  for (const auto &SO : CS.Outputs)
-    K.OutputKinds.push_back(SO.Type);
 
   // The kind each slot currently holds, evolving down the linear stream.
   // Guards only skip code; they never change which instruction defines a
@@ -140,7 +137,6 @@ StepKinds sigc::computeStepKinds(const CompiledStep &CS) {
       break;
     case VmOp::WriteOutput:
       IK.A = read(In.A);
-      K.OutputKinds[In.Aux] = IK.A;
       break;
     }
   }

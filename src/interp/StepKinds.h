@@ -95,9 +95,6 @@ struct StepKinds {
   /// is read or written as. A scratch slot reused across expression
   /// trees of different types carries several.
   std::vector<unsigned> SlotKinds;
-  /// Per output descriptor: the kind of the value the step writes (the
-  /// declared type when no instruction writes it).
-  std::vector<TypeKind> OutputKinds;
 };
 
 /// Runs the typing pass over \p CS.

@@ -114,21 +114,21 @@ enum class TOp : uint8_t {
 using TInstr = VmExecutor::TInstr;
 
 /// Unbatched port: every query crosses the environment boundary,
-/// converting by kind on the way.
+/// converting by declared type on the way.
 struct DirectPort {
   Environment &Env;
   const StepBindings &Bind;
-  const BatchIO &IO;
+  const CompiledStep &CS;
   bool tick(int32_t Desc, unsigned Instant) {
     return Env.clockTick(Bind.Clocks[Desc], Instant);
   }
   Slot input(int32_t Desc, unsigned Instant) {
     return toSlot(Env.inputValue(Bind.Inputs[Desc], Instant),
-                  IO.inputKind(Desc));
+                  CS.Inputs[Desc].Type);
   }
   void output(int32_t, int32_t Desc, unsigned Instant, Slot V) {
     Env.writeOutput(Bind.Outputs[Desc], Instant,
-                    toValue(V, IO.outputKind(Desc)));
+                    toValue(V, CS.Outputs[Desc].Type));
   }
 };
 
@@ -161,10 +161,6 @@ public:
         FlushPos(CS.Outputs.size(), 0) {
     for (size_t Pos = 0; Pos < CS.OutputFlushOrder.size(); ++Pos)
       FlushPos[CS.OutputFlushOrder[Pos]] = static_cast<int32_t>(Pos);
-  }
-
-  const std::vector<TypeKind> &outputKinds() const {
-    return Kinds.OutputKinds;
   }
 
   void run() {
@@ -226,10 +222,10 @@ private:
     return Base + static_cast<int32_t>(Consts.size()) - 1;
   }
 
-  /// The frame slot of operand \p Which (0 = A, 1 = B; of kind \p K) of
-  /// binary or select \p In, widened to real when \p AsReal and \p K is
-  /// integer: a constant converts at build time, a slot through a ToD
-  /// into the operand's conversion slot.
+  /// The frame slot of value operand \p Which (0 = A, 1 = B; of kind
+  /// \p K) of \p In, widened to real when \p AsReal and \p K is integer:
+  /// a constant converts at build time, a slot through a ToD into the
+  /// operand's conversion slot.
   int32_t operand(const VmInstr &In, int Which, TypeKind K, bool AsReal) {
     bool IsConst = Which == 0 ? In.Op == VmOp::BinaryCS
                               : In.Op == VmOp::BinarySC;
@@ -351,14 +347,16 @@ private:
       const bool RealMemory = isRealSlot(CS.StateInit[In.Target].Kind);
       assert((RealMemory || !isRealSlot(IK.A)) &&
              "real value stored into an integer memory");
-      if (RealMemory && !isRealSlot(IK.A)) {
-        emit(TOp::ToD, ConvBase, In.A);
-        return emit(TOp::StoreDelay, In.Target, ConvBase);
-      }
-      return emit(TOp::StoreDelay, In.Target, In.A);
+      return emit(TOp::StoreDelay, In.Target,
+                  operand(In, 0, IK.A, RealMemory));
     }
     case VmOp::WriteOutput:
-      return emit(TOp::Write, -1, In.A, FlushPos[In.Aux], In.Aux);
+      // Outputs leave in their declared type: an integer value of a real
+      // output widens, as the emitted C's assignment to its double field
+      // does (events and booleans share 0/1).
+      return emit(TOp::Write, -1,
+                  operand(In, 0, IK.A, isRealSlot(CS.Outputs[In.Aux].Type)),
+                  FlushPos[In.Aux], In.Aux);
     }
   }
 
@@ -381,18 +379,9 @@ void VmExecutor::setDispatch(VmDispatch D) {
   UseGoto = D == VmDispatch::Goto && computedGotoAvailable();
 }
 
-static std::vector<TypeKind> lowerTyped(const CompiledStep &CS,
-                                        std::vector<TInstr> &Code,
-                                        std::vector<Slot> &Consts,
-                                        uint64_t &RootWeight) {
-  TypedLowering L(CS, Code, Consts, RootWeight);
-  L.run();
-  return L.outputKinds();
-}
-
 VmExecutor::VmExecutor(const CompiledStep &CS)
-    : CS(CS), StateInit(initialState(CS)),
-      IO(CS, lowerTyped(CS, Code, Consts, RootWeight)) {
+    : CS(CS), StateInit(initialState(CS)), IO(CS) {
+  TypedLowering(CS, Code, Consts, RootWeight).run();
   reset();
 }
 
@@ -514,7 +503,7 @@ void VmExecutor::execInstant(Port &P, Slot *State, unsigned Instant) {
 void VmExecutor::step(Environment &Env, unsigned Instant) {
   if (Env.identity() != Bind.Identity)
     bind(Env);
-  DirectPort P{Env, Bind.Ids, IO};
+  DirectPort P{Env, Bind.Ids, CS};
   execInstant(P, StateSlots.data(), Instant);
 }
 

@@ -8,7 +8,7 @@
 using namespace sigc;
 
 NativeExecutor::NativeExecutor(const CompiledStep &CS, const NativeModule &M)
-    : CS(CS), M(M), IO(CS, computeStepKinds(CS).OutputKinds) {
+    : CS(CS), M(M), IO(CS) {
   State.resize(M.stateBytes());
   assert(M.numStateSlots() == CS.StateInit.size() &&
          "artifact does not match the compiled step");

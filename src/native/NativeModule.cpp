@@ -20,11 +20,6 @@ const char *UnitName = "sigc_unit";
 /// The sigc_native_value_t member a value of kind \p T lives in.
 const char *fieldOf(TypeKind T) { return isRealSlot(T) ? "d" : "i"; }
 
-/// The C type of the sigc_native_value_t member of kind \p T.
-const char *fieldTypeOf(TypeKind T) {
-  return isRealSlot(T) ? "double" : "long";
-}
-
 } // namespace
 
 std::string NativeModule::buildSource(const CompiledStep &CS,
@@ -106,18 +101,14 @@ std::string NativeModule::buildSource(const CompiledStep &CS,
            fieldOf(SI.Type) + ";\n";
   }
   Out += "    sigc_unit_step(st, &in_s, &out_s);\n";
-  // Outputs leave in the kind the step writes, which the VM's flush
-  // reads too (it can differ from the declared type: an integer
-  // expression assigned to a real output).
-  std::vector<TypeKind> OutKinds = computeStepKinds(CS).OutputKinds;
   for (size_t Pos = 0; Pos < CS.OutputFlushOrder.size(); ++Pos) {
-    int32_t Desc = CS.OutputFlushOrder[Pos];
-    std::string Id = sanitizeIdent(CS.Outputs[Desc].Name);
+    const auto &SO = CS.Outputs[CS.OutputFlushOrder[Pos]];
+    std::string Id = sanitizeIdent(SO.Name);
     std::string At = "i * " + NOut + "u + " + std::to_string(Pos) + "u";
     Out += "    outp[" + At + "] = (unsigned char)out_s." + Id +
            "_present;\n";
-    Out += "    outv[" + At + "]." + fieldOf(OutKinds[Desc]) + " = (" +
-           fieldTypeOf(OutKinds[Desc]) + ")out_s." + Id + ";\n";
+    Out += "    outv[" + At + "]." + fieldOf(SO.Type) + " = out_s." + Id +
+           ";\n";
   }
   Out += "  }\n}\n";
   return Out;

@@ -21,9 +21,8 @@
 /// 8-byte Slot: the shim's `sigc_native_value_t` is the same union
 /// (`long i; double d;`), and every slot holds the representation of its
 /// kind — integers in `i`, reals in `d`, booleans and events as 0/1 in
-/// `i`. Delay state crosses in StateInit's kinds, inputs in their
-/// declared types, outputs in the kind the step writes
-/// (StepKinds::OutputKinds), so a fleet lane block or a `--serve`
+/// `i`. Delay state crosses in StateInit's kinds, inputs and outputs in
+/// their declared types, so a fleet lane block or a `--serve`
 /// checkpoint is handed to `sigc_native_set_state` as is, and BatchIO's
 /// typed columns feed `sigc_native_run` directly. NativeFormatVersion 3
 /// is this slot ABI; an artifact of an earlier version is rebuilt.

@@ -248,6 +248,33 @@ TEST(DifferentialEmitC, EventArmOfBooleanDefaultKeepsOneStaticKind) {
   }
 }
 
+TEST(DifferentialEmitC, OutputsLeaveInTheirDeclaredTypes) {
+  // An integer value of a real output, an event value of a boolean
+  // output, a `when`-defined event output, and defaults whose arms
+  // differ in kind (the typed tiers store the join). Every path writes
+  // the output in its declared type, so the traces agree and a recorded
+  // trace replays.
+  const char *Sources[] = {
+      "process P = (? integer X; ! real Y;) (| Y := X |);\n",
+      "process P = (? event E; ! boolean Z;) (| Z := E |);\n",
+      "process P = (? boolean B; ! event E;) (| E := when B |);\n",
+      "process P = (? integer A; real R; ! real Z;)\n"
+      "  (| X := A | Z := X default R |) where real X; end;\n",
+      "process P = (? event E; boolean B; ! boolean Z;)\n"
+      "  (| Z := E default B |);\n"};
+  const bool CC = hostCCompilerAvailable();
+  for (const char *Source : Sources) {
+    OracleOptions O;
+    O.Instants = 40;
+    O.EmitCRoundTrip = CC;
+    O.NativeSwap = CC;
+    OracleReport R = checkDifferential("declared-outputs", Source, O);
+    EXPECT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(R.CRoundTripRan, CC) << Source;
+    EXPECT_EQ(R.NativeSwapRan, CC) << Source;
+  }
+}
+
 TEST(DifferentialEmitC, RandomPrograms) {
   if (!hostCCompilerAvailable())
     GTEST_SKIP() << "no host C compiler";

@@ -299,5 +299,5 @@ TEST(Integration, EventOutput) {
   Env.set("CC", 2, Value::makeBool(true));
   VmExecutor Exec(C->Compiled);
   Exec.run(Env, 3);
-  EXPECT_EQ(formatEvents(Env.outputs()), "0 T=true\n2 T=true\n");
+  EXPECT_EQ(formatEvents(Env.outputs()), "0 T=tick\n2 T=tick\n");
 }

@@ -186,28 +186,6 @@ TEST(NativeExecutor, MatchesVmOnRandomSweep) {
   }
 }
 
-TEST(NativeExecutor, MatchesVmAtDefaultsOfMixedArms) {
-  // A default over an integer value of a real signal and a real arm, or
-  // over an event and a boolean: both tiers write the joined kind, so
-  // the traces match as text, not only as numbers.
-  if (!nativeCompileAvailable())
-    GTEST_SKIP() << "no host C compiler";
-  TempCacheDir Dir;
-  NativeCache Cache(Dir.Path);
-  for (const std::string &Source :
-       {proc("? integer A; real R; ! real Z;",
-             "   X := A\n   | Z := X default R", "real X;"),
-        proc("? event E; boolean B; ! boolean Z;", "   Z := E default B")}) {
-    auto C = compileOk(Source);
-    std::string Hash = hashCompiledStep(C->Compiled), Err;
-    auto Mod = Cache.compileAndPublish(C->Compiled, Hash, Err);
-    ASSERT_TRUE(Mod) << Err;
-    EXPECT_EQ(formatEvents(runVm(C->Compiled, 5, 64, 8).Events),
-              formatEvents(runNative(C->Compiled, *Mod, 5, 64, 8).Events))
-        << Source;
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Hot swap at every batch boundary
 //===----------------------------------------------------------------------===//

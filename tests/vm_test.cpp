@@ -22,8 +22,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 using namespace sigc;
 using namespace sigc::test;
 
@@ -380,47 +378,6 @@ TEST(VmDispatch, BlockWeightsCountExactlyOnEveryBuiltin) {
           EXPECT_EQ(X.executed(), FlatExecuted) << Name;
         EXPECT_GT(X.executed(), 0u) << Name << " " << Layout;
       }
-    }
-  }
-}
-
-TEST(VmDispatch, DefaultOfMixedArmsTakesTheJoinedKind) {
-  // Sema lets a default merge an integer value of a real signal with a
-  // real arm, or an event with a boolean. A typed slot holds one kind,
-  // the join (real, boolean): the reference interpreter's tagged values
-  // converted to it, whichever arm is taken.
-  struct Case {
-    const char *Interface, *Body, *Locals;
-    TypeKind Join, Narrow;
-  };
-  const Case Cases[] = {
-      {"? integer A; real R; ! real Z;", "   X := A\n   | Z := X default R",
-       "real X;", TypeKind::Real, TypeKind::Integer},
-      {"? event E; boolean B; ! boolean Z;", "   Z := E default B", "",
-       TypeKind::Boolean, TypeKind::Event}};
-  const unsigned Instants = 64;
-  for (const Case &K : Cases) {
-    auto C = compileOk(proc(K.Interface, K.Body, K.Locals));
-    RandomEnvironment EnvRef(5);
-    KernelInterp Ref(*C->Kernel, C->Clocks, *C->Forest, C->names());
-    ASSERT_TRUE(Ref.run(EnvRef, Instants)) << K.Body;
-    std::vector<OutputEvent> Expect = canonicalTrace(EnvRef.outputs());
-    auto takes = [&](TypeKind Kind) {
-      return std::any_of(
-          Expect.begin(), Expect.end(),
-          [&](const OutputEvent &E) { return E.Val.Kind == Kind; });
-    };
-    ASSERT_TRUE(takes(K.Join) && takes(K.Narrow)) << "both arms: " << K.Body;
-    for (OutputEvent &E : Expect)
-      E.Val = toValue(toSlot(E.Val, K.Join), K.Join);
-    for (VmDispatch D : {VmDispatch::Switch, VmDispatch::Goto}) {
-      RandomEnvironment Env(5);
-      VmExecutor X(C->Compiled);
-      X.setDispatch(D);
-      X.runBatched(Env, Instants, 5);
-      EXPECT_EQ(formatEvents(canonicalTrace(Env.outputs())),
-                formatEvents(Expect))
-          << K.Body;
     }
   }
 }
