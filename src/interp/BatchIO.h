@@ -4,7 +4,7 @@
 /// The environment boundary of a batched executor, shared by the VM and
 /// the native tier. The Environment speaks tagged Values; the step reads
 /// and writes 8-byte Slots. BatchIO converts between the two once per
-/// value and batch, by kind, never inside the step:
+/// value and batch, by declared type, never inside the step:
 ///
 ///   * prefetch() fetches a window's free-clock ticks and input values
 ///     with one bulk call per descriptor, converting each input column to
