@@ -28,7 +28,8 @@ FleetExecutor::FleetExecutor(const CompiledStep &CS, unsigned Instances,
   unsigned Extra = NumBlocks % NumShards;
   unsigned Block = 0;
   for (unsigned S = 0; S < NumShards; ++S) {
-    Shards.emplace_back(CS);
+    // The shards share the first one's typed code.
+    Shards.emplace_back(CS, S ? Shards[0].Vm.typedCode() : nullptr);
     Shards[S].First = std::min(Block * K, NumInstances);
     Block += PerShard + (S < Extra ? 1 : 0);
     Shards[S].End = std::min(Block * K, NumInstances);

@@ -149,7 +149,9 @@ private:
   /// One worker's workspace and lane range. Constructed up front and
   /// reused; nothing here is shared.
   struct Shard {
-    explicit Shard(const CompiledStep &CS) : Vm(CS) {}
+    Shard(const CompiledStep &CS,
+          std::shared_ptr<const VmExecutor::TypedCode> Code)
+        : Vm(CS, std::move(Code)) {}
     unsigned First = 0;
     unsigned End = 0;
     VmExecutor Vm;

@@ -8,6 +8,17 @@
 
 using namespace sigc;
 
+/// \p V as a value of a signal declared \p T. Every signal holds a value
+/// of its declared type: sema's implicit conversions (integer to real,
+/// event to boolean) apply where a signal is written, as in the typed
+/// tiers, so an integer stored in a real memory or chosen by a real
+/// default reads back real.
+static Value ofType(const Value &V, TypeKind T) {
+  if (V.Kind == T || T == TypeKind::Unknown)
+    return V;
+  return toValue(toSlot(V, T), T);
+}
+
 KernelInterp::KernelInterp(const KernelProgram &Prog, const ClockSystem &Sys,
                            ClockForest &Forest, const StringInterner &Names)
     : Prog(Prog), Sys(Sys), Forest(Forest), Names(Names) {
@@ -154,9 +165,10 @@ bool KernelInterp::step(Environment &Env, unsigned Instant) {
         continue;
       }
       const KernelEq *Def = Prog.definition(S);
+      const TypeKind T = Prog.Signals[S].Type;
       if (!Def) {
         // Environment input (or free local).
-        Values[S] = Env.inputValue(InputId[S], Instant);
+        Values[S] = ofType(Env.inputValue(InputId[S], Instant), T);
         Present[S] = 1;
         ValueKnown[S] = 1;
         Progress = true;
@@ -164,7 +176,7 @@ bool KernelInterp::step(Environment &Env, unsigned Instant) {
       }
       switch (Def->Kind) {
       case KernelEqKind::Delay: {
-        Values[S] = DelayState[DelayEqOfSignal[S]];
+        Values[S] = ofType(DelayState[DelayEqOfSignal[S]], T);
         Present[S] = 1;
         ValueKnown[S] = 1;
         Progress = true;
@@ -179,7 +191,7 @@ bool KernelInterp::step(Environment &Env, unsigned Instant) {
         std::vector<Value> Args;
         for (SignalId Arg : Def->Args)
           Args.push_back(Values[Arg]);
-        Values[S] = evalFuncTree(*Def, Args);
+        Values[S] = ofType(evalFuncTree(*Def, Args), T);
         Present[S] = 1;
         ValueKnown[S] = 1;
         Progress = true;
@@ -189,9 +201,9 @@ bool KernelInterp::step(Environment &Env, unsigned Instant) {
         if (Def->WhenValue.isSignal()) {
           if (!ValueKnown[Def->WhenValue.Sig])
             break;
-          Values[S] = Values[Def->WhenValue.Sig];
+          Values[S] = ofType(Values[Def->WhenValue.Sig], T);
         } else {
-          Values[S] = Def->WhenValue.Const;
+          Values[S] = ofType(Def->WhenValue.Const, T);
         }
         Present[S] = 1;
         ValueKnown[S] = 1;
@@ -209,11 +221,11 @@ bool KernelInterp::step(Environment &Env, unsigned Instant) {
         if (UPresent) {
           if (!ValueKnown[U])
             break;
-          Values[S] = Values[U];
+          Values[S] = ofType(Values[U], T);
         } else if (UKnownAbsent) {
           if (!ValueKnown[V])
             break;
-          Values[S] = Values[V];
+          Values[S] = ofType(Values[V], T);
         } else {
           break; // U's presence not decided yet.
         }
@@ -235,14 +247,10 @@ bool KernelInterp::step(Environment &Env, unsigned Instant) {
       return false;
 
   // Outputs, through the ids bound once — no name re-materialization per
-  // event. They leave in their declared types, as the compiled tiers and
-  // the trace codec present them; the signals' own values keep their
-  // tags.
+  // event.
   for (SignalId S : Prog.outputs())
-    if (Present[S]) {
-      TypeKind T = Prog.Signals[S].Type;
-      Env.writeOutput(OutputId[S], Instant, toValue(toSlot(Values[S], T), T));
-    }
+    if (Present[S])
+      Env.writeOutput(OutputId[S], Instant, Values[S]);
 
   // Advance delay memories.
   for (unsigned DI = 0; DI < DelayEqIndex.size(); ++DI) {

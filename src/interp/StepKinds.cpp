@@ -2,6 +2,8 @@
 
 #include "interp/StepKinds.h"
 
+#include <cassert>
+
 using namespace sigc;
 
 std::vector<Slot> sigc::initialState(const CompiledStep &CS) {
@@ -62,9 +64,25 @@ StepKinds sigc::computeStepKinds(const CompiledStep &CS) {
   auto touch = [&](int32_t Slot, TypeKind T) {
     K.SlotKinds[Slot] |= 1u << static_cast<unsigned>(T);
   };
-  auto write = [&](int32_t Slot, TypeKind T) {
-    Cur[Slot] = T;
-    touch(Slot, T);
+  // A signal's value slot holds its declared type: sema's implicit
+  // conversions (integer to real, event to boolean) apply where the
+  // signal is written. IK.Res is the kind the target holds; Widen marks
+  // an integer result stored widened.
+  auto write = [&](InstrKinds &IK, int32_t Slot, TypeKind T) {
+    TypeKind Held = T;
+    if (static_cast<size_t>(Slot) < CS.ValueSlotType.size() &&
+        CS.ValueSlotType[Slot] != TypeKind::Unknown)
+      Held = CS.ValueSlotType[Slot];
+    [[maybe_unused]] auto boolish = [](TypeKind K) {
+      return K == TypeKind::Boolean || K == TypeKind::Event;
+    };
+    assert((Held == T || (isRealSlot(Held) && T == TypeKind::Integer) ||
+            (boolish(Held) && boolish(T))) &&
+           "a signal written in a kind sema does not convert");
+    IK.Res = Held;
+    IK.Widen = isRealSlot(Held) && T == TypeKind::Integer;
+    Cur[Slot] = Held;
+    touch(Slot, Held);
   };
   auto read = [&](int32_t Slot) {
     TypeKind T = Cur[Slot] == TypeKind::Unknown ? declared(Slot) : Cur[Slot];
@@ -88,49 +106,42 @@ StepKinds sigc::computeStepKinds(const CompiledStep &CS) {
       IK.A = read(In.A);
       break;
     case VmOp::ReadSignal:
-      IK.Res = CS.Inputs[In.Aux].Type;
-      write(In.Target, IK.Res);
+      write(IK, In.Target, CS.Inputs[In.Aux].Type);
       break;
     case VmOp::UnarySlot:
       IK.A = read(In.A);
-      IK.Res = unaryResultKind(static_cast<UnaryOp>(In.Aux), IK.A);
-      write(In.Target, IK.Res);
+      write(IK, In.Target,
+            unaryResultKind(static_cast<UnaryOp>(In.Aux), IK.A));
       break;
     case VmOp::BinarySS:
     case VmOp::BinarySC:
     case VmOp::BinaryCS:
       IK.A = In.Op == VmOp::BinaryCS ? CS.Consts[In.A].Kind : read(In.A);
       IK.B = In.Op == VmOp::BinarySC ? CS.Consts[In.B].Kind : read(In.B);
-      IK.Res = binaryResultKind(static_cast<BinaryOp>(In.Aux), IK.A, IK.B);
-      write(In.Target, IK.Res);
+      write(IK, In.Target,
+            binaryResultKind(static_cast<BinaryOp>(In.Aux), IK.A, IK.B));
       break;
     case VmOp::CopyValue:
       IK.A = read(In.A);
-      IK.Res = IK.A;
-      write(In.Target, IK.Res);
+      write(IK, In.Target, IK.A);
       break;
     case VmOp::LoadConst:
-      IK.Res = CS.Consts[In.Aux].Kind;
-      write(In.Target, IK.Res);
+      write(IK, In.Target, CS.Consts[In.Aux].Kind);
       break;
     case VmOp::Select:
       IK.A = read(In.A);
       IK.B = read(In.B);
-      // Sema admits arms of different kinds only as an integer value of
-      // a real signal against a real arm, or an event against a boolean.
-      // The default takes the join (real, or boolean: an event is an
-      // always-true boolean), which the narrower arm converts to.
-      if (IK.A == IK.B)
-        IK.Res = IK.A;
-      else if (isRealSlot(IK.A) || isRealSlot(IK.B))
-        IK.Res = TypeKind::Real;
-      else
-        IK.Res = TypeKind::Boolean;
-      write(In.Target, IK.Res);
+      // Sema admits arms of different kinds only as an integer against a
+      // real, or an event against a boolean. The default takes the join
+      // (real, or boolean: an event is an always-true boolean), which
+      // the narrower arm converts to.
+      write(IK, In.Target,
+            IK.A == IK.B                             ? IK.A
+            : isRealSlot(IK.A) || isRealSlot(IK.B) ? TypeKind::Real
+                                                     : TypeKind::Boolean);
       break;
     case VmOp::LoadDelay:
-      IK.Res = CS.StateInit[In.A].Kind;
-      write(In.Target, IK.Res);
+      write(IK, In.Target, CS.StateInit[In.A].Kind);
       break;
     case VmOp::StoreDelay:
       IK.A = read(In.A);

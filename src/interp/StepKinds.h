@@ -6,12 +6,14 @@
 /// fleet lanes and `--serve` checkpoints) store values in.
 ///
 /// computeStepKinds() walks the linear instruction stream once and
-/// assigns every value operand and result a static TypeKind: inputs take
-/// their declared type, delay loads their initializer's kind, operators
-/// the kind evalBinaryValue/evalUnaryValue would give their operands'
-/// kinds, defaults the join of their arms' kinds. Guards only skip
-/// code, so the linear walk sees the kinds every execution sees. This is
-/// the typing rule: the emitted C declares its locals from it and the VM
+/// assigns every value operand and result a static TypeKind: operators
+/// compute in the kind evalBinaryValue/evalUnaryValue would give their
+/// operands' kinds, defaults in the join of their arms' kinds, and a
+/// signal's value slot holds the signal's declared type, so sema's
+/// implicit conversions (integer to real, event to boolean) apply where
+/// a signal is written, as in KernelInterp. Guards only skip code, so
+/// the linear walk sees the kinds every execution sees. This is the
+/// typing rule: the emitted C declares its locals from it and the VM
 /// picks its kind-specialised opcodes from it.
 ///
 /// A Slot holds a value in the representation its static kind implies:
@@ -80,12 +82,16 @@ TypeKind binaryResultKind(BinaryOp Op, TypeKind L, TypeKind R);
 /// Result kind of \p Op on an operand of kind \p A.
 TypeKind unaryResultKind(UnaryOp Op, TypeKind A);
 
-/// The static kinds of one instruction: the kind it writes and the kinds
-/// of its value operands (constants included) at that program point.
+/// The static kinds of one instruction: the kind its target holds after
+/// it and the kinds of its value operands (constants included) at that
+/// program point.
 struct InstrKinds {
   TypeKind Res = TypeKind::Unknown;
   TypeKind A = TypeKind::Unknown;
   TypeKind B = TypeKind::Unknown;
+  /// The instruction computes an integer that its target, a real
+  /// signal, holds widened.
+  bool Widen = false;
 };
 
 /// The result of the typing pass over one CompiledStep.

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <unordered_map>
 
 #if !defined(SIGC_VM_NO_COMPUTED_GOTO) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -153,10 +154,9 @@ struct BatchPort {
 /// [values | scratch | 2 conversion slots | constants].
 class TypedLowering {
 public:
-  TypedLowering(const CompiledStep &CS, std::vector<TInstr> &Code,
-                std::vector<Slot> &Consts, uint64_t &RootWeight)
-      : CS(CS), Kinds(computeStepKinds(CS)), Code(Code), Consts(Consts),
-        RootWeight(RootWeight),
+  TypedLowering(const CompiledStep &CS, VmExecutor::TypedCode &Out)
+      : CS(CS), Kinds(computeStepKinds(CS)), Code(Out.Code),
+        Consts(Out.Consts), RootWeight(Out.RootWeight),
         ConvBase(static_cast<int32_t>(CS.NumValueSlots + CS.NumTempSlots)),
         FlushPos(CS.Outputs.size(), 0) {
     for (size_t Pos = 0; Pos < CS.OutputFlushOrder.size(); ++Pos)
@@ -185,7 +185,12 @@ public:
       // instructions run exactly when its guard holds.
       addWeight(Open.empty() ? -1 : static_cast<int>(Open.back().first),
                 In.Weight);
-      lower(In, Kinds.Instr[PC]);
+      const InstrKinds &IK = Kinds.Instr[PC];
+      lower(In, IK);
+      // A real signal holds an integer result widened. A constant or a
+      // default widens before the write (see lower()).
+      if (IK.Widen && In.Op != VmOp::LoadConst && In.Op != VmOp::Select)
+        emit(TOp::ToD, In.Target, In.Target);
     }
     emit(TOp::Halt);
     for (TInstr &T : Code)
@@ -214,12 +219,13 @@ private:
 
   /// The frame slot of constant \p V (deduplicated by representation).
   int32_t constSlot(Slot V) {
-    int32_t Base = ConvBase + 2;
-    for (size_t I = 0; I < Consts.size(); ++I)
-      if (std::memcmp(&Consts[I], &V, sizeof V) == 0)
-        return Base + static_cast<int32_t>(I);
-    Consts.push_back(V);
-    return Base + static_cast<int32_t>(Consts.size()) - 1;
+    int64_t Bits;
+    std::memcpy(&Bits, &V, sizeof V);
+    auto [It, New] = ConstSlots.try_emplace(
+        Bits, ConvBase + 2 + static_cast<int32_t>(Consts.size()));
+    if (New)
+      Consts.push_back(V);
+    return It->second;
   }
 
   /// The frame slot of value operand \p Which (0 = A, 1 = B; of kind
@@ -330,8 +336,8 @@ private:
       return emit(TOp::Copy, In.Target,
                   constSlot(toSlot(CS.Consts[In.Aux], IK.Res)));
     case VmOp::Select: {
-      // An integer arm of a real default widens; an event arm of a
-      // boolean one is already 1.
+      // An integer arm of a real default (or of an integer default of a
+      // real signal) widens; an event arm of a boolean one is already 1.
       const bool Real = isRealSlot(IK.Res);
       int32_t A = operand(In, 0, IK.A, Real);
       int32_t B = operand(In, 1, IK.B, Real);
@@ -340,10 +346,9 @@ private:
     case VmOp::LoadDelay:
       return emit(TOp::LoadDelay, In.Target, In.A);
     case VmOp::StoreDelay: {
-      // A real signal may carry an integer-kinded value (`X := A` with A
-      // integer); it widens into the real memory, as the emitted C's
-      // assignment to the double state field does. Sema admits no other
-      // mismatch: a delay's init has the signal's type.
+      // A real init makes the memory of a delayed integer real: the
+      // stored integer widens, as the emitted C's assignment to the
+      // double state field does. Sema admits no other mismatch.
       const bool RealMemory = isRealSlot(CS.StateInit[In.Target].Kind);
       assert((RealMemory || !isRealSlot(IK.A)) &&
              "real value stored into an integer memory");
@@ -351,12 +356,10 @@ private:
                   operand(In, 0, IK.A, RealMemory));
     }
     case VmOp::WriteOutput:
-      // Outputs leave in their declared type: an integer value of a real
-      // output widens, as the emitted C's assignment to its double field
-      // does (events and booleans share 0/1).
-      return emit(TOp::Write, -1,
-                  operand(In, 0, IK.A, isRealSlot(CS.Outputs[In.Aux].Type)),
-                  FlushPos[In.Aux], In.Aux);
+      // An output's value slot holds its declared type already.
+      assert(isRealSlot(IK.A) == isRealSlot(CS.Outputs[In.Aux].Type) &&
+             "output written in another representation than declared");
+      return emit(TOp::Write, -1, In.A, FlushPos[In.Aux], In.Aux);
     }
   }
 
@@ -365,6 +368,7 @@ private:
   std::vector<TInstr> &Code;
   std::vector<Slot> &Consts;
   uint64_t &RootWeight;
+  std::unordered_map<int64_t, int32_t> ConstSlots; ///< Bits -> frame slot.
   const int32_t ConvBase;
   std::vector<int32_t> FlushPos; ///< Output desc -> flush position.
 };
@@ -379,9 +383,14 @@ void VmExecutor::setDispatch(VmDispatch D) {
   UseGoto = D == VmDispatch::Goto && computedGotoAvailable();
 }
 
-VmExecutor::VmExecutor(const CompiledStep &CS)
-    : CS(CS), StateInit(initialState(CS)), IO(CS) {
-  TypedLowering(CS, Code, Consts, RootWeight).run();
+VmExecutor::VmExecutor(const CompiledStep &CS,
+                       std::shared_ptr<const TypedCode> Code)
+    : CS(CS), Typed(std::move(Code)), StateInit(initialState(CS)), IO(CS) {
+  if (!Typed) {
+    auto Lowered = std::make_shared<TypedCode>();
+    TypedLowering(CS, *Lowered).run();
+    Typed = std::move(Lowered);
+  }
   reset();
 }
 
@@ -390,7 +399,7 @@ void VmExecutor::reset() {
   // Scratch and conversion slots live after the values, the read-only
   // constants after them.
   Frame.assign(CS.NumValueSlots + CS.NumTempSlots + 2, Slot{});
-  Frame.insert(Frame.end(), Consts.begin(), Consts.end());
+  Frame.insert(Frame.end(), Typed->Consts.begin(), Typed->Consts.end());
   StateSlots = StateInit;
 }
 
@@ -407,10 +416,10 @@ void VmExecutor::execInstantSwitch(Port &P, Slot *State, unsigned Instant) {
   // Presence is recomputed from scratch each instant.
   std::fill(ClockSlots.begin(), ClockSlots.end(), 0);
 
-  const TInstr *Code = this->Code.data();
+  const TInstr *Code = Typed->Code.data();
   char *Clock = ClockSlots.data();
   Slot *S = Frame.data();
-  uint64_t Guards = 0, Exec = RootWeight;
+  uint64_t Guards = 0, Exec = Typed->RootWeight;
 
   for (int32_t PC = 0;;) {
     const TInstr &In = Code[PC];
@@ -446,10 +455,10 @@ void VmExecutor::execInstantGoto(Port &P, Slot *State, unsigned Instant) {
   // Presence is recomputed from scratch each instant.
   std::fill(ClockSlots.begin(), ClockSlots.end(), 0);
 
-  const TInstr *Code = this->Code.data();
+  const TInstr *Code = Typed->Code.data();
   char *Clock = ClockSlots.data();
   Slot *S = Frame.data();
-  uint64_t Guards = 0, Exec = RootWeight;
+  uint64_t Guards = 0, Exec = Typed->RootWeight;
 
   // Positional dispatch table: one label per TOp, in declaration order.
 #define SIGC_VM_TABLE_ENTRY(Name, ...) &&L_##Name,

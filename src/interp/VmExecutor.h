@@ -3,11 +3,11 @@
 /// \file
 /// Executes a CompiledStep instant by instant against an Environment.
 ///
-/// The constructor runs the shared typing pass (StepKinds.h) and lowers
-/// CompiledStep::Code once more, to typed threaded code over a frame of
-/// untyped 8-byte Slots: value slots, scratch slots, two conversion
-/// slots, then the constants as read-only slots. Every kind is resolved
-/// before the first instant:
+/// Unless handed another executor's code, the constructor runs the
+/// shared typing pass (StepKinds.h) and lowers CompiledStep::Code once
+/// more, to typed threaded code over a frame of untyped 8-byte Slots:
+/// value slots, scratch slots, two conversion slots, then the constants
+/// as read-only slots. Every kind is resolved before the first instant:
 ///
 ///   * operators become opcodes specialised by operator and kind (AddI,
 ///     AddD, LtI, EqD, ...; booleans and events compare as 0/1 with
@@ -15,9 +15,10 @@
 ///     member, with no tag test and no out-of-line call,
 ///   * constant operands are slots, so binary operations have a single
 ///     slot-slot form and a constant load is a copy,
-///   * where the tagged Value semantics widened an integer to real, the
-///     typed code widens explicitly: a ToD into a conversion slot, or a
-///     real constant slot when the operand is constant,
+///   * where an integer becomes real (mixed arithmetic, a real signal
+///     written an integer, a real default or delay memory), the typed
+///     code widens explicitly: a ToD into a conversion slot or in place,
+///     or a real constant slot when the operand is constant,
 ///   * the stream ends in a Halt sentinel, so dispatch never tests the PC
 ///     against the end.
 ///
@@ -57,6 +58,7 @@
 #include "interp/Environment.h"
 #include "interp/StepKinds.h"
 
+#include <memory>
 #include <vector>
 
 namespace sigc {
@@ -74,7 +76,30 @@ enum class VmDispatch : uint8_t {
 /// Interprets a CompiledStep.
 class VmExecutor {
 public:
-  explicit VmExecutor(const CompiledStep &CS);
+  /// One typed instruction. Skip: A clock, T target, B block weight;
+  /// Write: A value, B flush position, C descriptor; Select: C clock;
+  /// otherwise T destination, A/B operands (descriptors for reads).
+  struct TInstr {
+    uint8_t Op = 0;
+    int32_t T = -1;
+    int32_t A = -1;
+    int32_t B = -1;
+    int32_t C = -1;
+  };
+
+  /// The typed code of one CompiledStep. It depends on nothing else, so
+  /// the executors of one step (a fleet's shards) share one lowering.
+  struct TypedCode {
+    std::vector<TInstr> Code; ///< Halt-terminated.
+    std::vector<Slot> Consts; ///< Constant slots, copied after scratch.
+    uint64_t RootWeight = 0;  ///< Executed per instant outside any guard.
+  };
+
+  /// Runs \p CS on \p Code, which must be another executor's typedCode()
+  /// of the same step; lowers \p CS afresh when it is null.
+  explicit VmExecutor(const CompiledStep &CS,
+                      std::shared_ptr<const TypedCode> Code = nullptr);
+  const std::shared_ptr<const TypedCode> &typedCode() const { return Typed; }
 
   /// True when this build carries the computed-goto dispatcher
   /// (GCC/Clang; disable with -DSIGC_VM_NO_COMPUTED_GOTO).
@@ -163,17 +188,6 @@ public:
     Executed = Instrs;
   }
 
-  /// One typed instruction. Skip: A clock, T target, B block weight;
-  /// Write: A value, B flush position, C descriptor; Select: C clock;
-  /// otherwise T destination, A/B operands (descriptors for reads).
-  struct TInstr {
-    uint8_t Op = 0;
-    int32_t T = -1;
-    int32_t A = -1;
-    int32_t B = -1;
-    int32_t C = -1;
-  };
-
 private:
   /// One instant's PC walk; \p Port supplies ticks/inputs and receives
   /// outputs (direct environment queries or batch buffers); \p State is
@@ -189,9 +203,7 @@ private:
   const CompiledStep &CS;
   bool UseGoto = computedGotoAvailable();
   BoundEnv Bind; ///< The environment of step()/stepN().
-  std::vector<TInstr> Code;  ///< Typed code, Halt-terminated.
-  uint64_t RootWeight = 0;   ///< Executed per instant outside any guard.
-  std::vector<Slot> Consts;  ///< Constant slots, copied after scratch.
+  std::shared_ptr<const TypedCode> Typed;
   std::vector<Slot> StateInit;
   std::vector<char> ClockSlots;
   std::vector<Slot> Frame;   ///< Values, scratch, conversions, constants.

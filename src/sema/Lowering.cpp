@@ -259,8 +259,9 @@ bool Sema::lowerInto(LowerState &LS, SignalId Target, const Expr *E) {
     SignalId Source = lowerToSignal(LS, D->operand());
     if (Source == InvalidSignal)
       return false;
-    // "X $ n" is a chain of n unit delays ending in Target.
-    TypeKind Ty = D->operand()->type();
+    // "X $ n" is a chain of n unit delays ending in Target. The
+    // memories take the delay's type, which a real init makes real.
+    TypeKind Ty = E->type();
     SignalId Prev = Source;
     for (unsigned Step = 1; Step <= D->depth(); ++Step) {
       SignalId StageTarget =
@@ -357,7 +358,9 @@ bool Sema::lowerInto(LowerState &LS, SignalId Target, const Expr *E) {
     SignalId B = lowerToSignal(LS, C->condition());
     if (X == InvalidSignal || B == InvalidSignal)
       return false;
-    TypeKind Ty = C->value()->type();
+    // Z remembers Y, so it takes Y's type (X's, or real where an integer
+    // X defines a real Y).
+    TypeKind Ty = LS.Prog.Signals[Target].Type;
 
     SignalId Z = LS.freshSignal(Ty, E->loc());
     KernelEq ZEq;

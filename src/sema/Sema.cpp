@@ -130,8 +130,10 @@ TypeKind Sema::checkExpr(const ProcessDecl &D, Expr *E) {
       Diags.error(E->loc(), "'$' cannot be applied to an event signal");
       return TypeKind::Unknown;
     }
-    // The init must be a value of the delayed signal's type (integers
-    // widen to real): the memory holds one kind from the first instant.
+    // The memory holds one kind from the first instant: a real init
+    // makes a delayed integer real, an integer init of a real widens.
+    if (T == TypeKind::Integer && Dl->init().Kind == TypeKind::Real)
+      T = TypeKind::Real;
     if (!typesCompatible(T, Dl->init().Kind)) {
       Diags.error(E->loc(),
                   std::string("'init' value type ") +

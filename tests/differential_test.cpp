@@ -275,6 +275,40 @@ TEST(DifferentialEmitC, OutputsLeaveInTheirDeclaredTypes) {
   }
 }
 
+TEST(DifferentialEmitC, SignalsHoldTheirDeclaredTypes) {
+  // An integer value of a real signal and an event value of a boolean
+  // one, passed through a delay memory or a mixed default before
+  // arithmetic or `=`. Sema's implicit conversions apply where a signal
+  // is written, in the reference interpreter as in the typed tiers, so
+  // M / 2 and Z / 2 divide reals and M = B compares booleans on every
+  // path. A real init makes a delayed integer real.
+  const char *Sources[] = {
+      "process P = (? integer A; ! real Y;)\n"
+      "  (| X := A | M := X $ 1 init 0.5 | Y := M / 2 |)\n"
+      "  where real X, M; end;\n",
+      "process P = (? integer A; real R; ! real W;)\n"
+      "  (| X := A | Z := X default R | W := Z / 2 |)\n"
+      "  where real X, Z; end;\n",
+      "process P = (? event E; boolean B; ! boolean Y;)\n"
+      "  (| B2 := E | M := B2 $ 1 init false | Y := M = B\n"
+      "   | synchro {E, B} |) where boolean B2, M; end;\n",
+      "process P = (? integer A; ! real Y;)\n"
+      "  (| Y := (A $ 1 init 0.5) / 2 |);\n",
+      "process P = (? integer A; boolean C; ! real Y;)\n"
+      "  (| Y := A cell C init 1 | W := Y / 2 |) where real W; end;\n"};
+  const bool CC = hostCCompilerAvailable();
+  for (const char *Source : Sources) {
+    OracleOptions O;
+    O.Instants = 40;
+    O.EmitCRoundTrip = CC;
+    O.NativeSwap = CC;
+    OracleReport R = checkDifferential("declared-signals", Source, O);
+    EXPECT_TRUE(R.Ok) << Source << R.Error;
+    EXPECT_EQ(R.CRoundTripRan, CC) << Source;
+    EXPECT_EQ(R.NativeSwapRan, CC) << Source;
+  }
+}
+
 TEST(DifferentialEmitC, RandomPrograms) {
   if (!hostCCompilerAvailable())
     GTEST_SKIP() << "no host C compiler";

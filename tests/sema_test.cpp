@@ -140,10 +140,24 @@ TEST(Sema, DelayOfConstantRejected) {
 TEST(Sema, DelayInitTypeMismatch) {
   compileErr(proc("? integer A; ! integer Y;", "   Y := A $ 1 init true"),
              CompileStage::Sema);
-  // A real init would hold an integer memory in another kind than the
-  // values stored after it.
+  // A real init makes the delay real, and a real cannot define an
+  // integer signal.
   compileErr(proc("? integer A; ! integer Y;", "   Y := A $ 1 init 0.5"),
              CompileStage::Sema);
+}
+
+TEST(Sema, RealInitOfAnIntegerDelayMakesItReal) {
+  // The memory holds one kind from the first instant on: the integers
+  // stored after the init widen to real.
+  auto C = compileOk(proc("? integer A; ! real Y;", "   Y := A $ 2 init 0.5"));
+  unsigned Delays = 0;
+  for (const KernelEq &Eq : C->Kernel->Equations)
+    if (Eq.Kind == KernelEqKind::Delay) {
+      ++Delays;
+      EXPECT_EQ(Eq.DelayInit.Kind, TypeKind::Real);
+      EXPECT_EQ(C->Kernel->Signals[Eq.Target].Type, TypeKind::Real);
+    }
+  EXPECT_EQ(Delays, 2u);
 }
 
 TEST(Sema, IntegerInitOfARealDelayWidens) {
