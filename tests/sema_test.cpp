@@ -146,33 +146,24 @@ TEST(Sema, DelayInitTypeMismatch) {
              CompileStage::Sema);
 }
 
-TEST(Sema, RealInitOfAnIntegerDelayMakesItReal) {
-  // The memory holds one kind from the first instant on: the integers
-  // stored after the init widen to real.
-  auto C = compileOk(proc("? integer A; ! real Y;", "   Y := A $ 2 init 0.5"));
-  unsigned Delays = 0;
-  for (const KernelEq &Eq : C->Kernel->Equations)
-    if (Eq.Kind == KernelEqKind::Delay) {
-      ++Delays;
-      EXPECT_EQ(Eq.DelayInit.Kind, TypeKind::Real);
-      EXPECT_EQ(C->Kernel->Signals[Eq.Target].Type, TypeKind::Real);
-    }
-  EXPECT_EQ(Delays, 2u);
-}
-
-TEST(Sema, IntegerInitOfARealDelayWidens) {
-  // The memory holds one kind from the first instant on: the typed
-  // slots of the VM, the emitted C and the reference interpreter all
-  // read the init as a real.
-  auto C = compileOk(proc("? real A; ! real Y;", "   Y := A $ 1 init 1"));
-  unsigned Delays = 0;
-  for (const KernelEq &Eq : C->Kernel->Equations)
-    if (Eq.Kind == KernelEqKind::Delay) {
-      ++Delays;
-      EXPECT_EQ(Eq.DelayInit.Kind, TypeKind::Real);
-      EXPECT_EQ(Eq.DelayInit.Real, 1.0);
-    }
-  EXPECT_EQ(Delays, 1u);
+TEST(Sema, DelayMemoryHoldsOneKindFromTheStart) {
+  // An integer init of a real delay widens, and a real init makes a
+  // delayed integer real (the integers stored after it widen), so the
+  // typed slots of the VM, the emitted C and the reference interpreter
+  // all read the memory as a real.
+  const std::pair<const char *, unsigned> Cases[] = {
+      {"   Y := A $ 1 init 1", 1}, {"   Y := B $ 2 init 0.5", 2}};
+  for (auto [Body, Depth] : Cases) {
+    auto C = compileOk(proc("? real A; integer B; ! real Y;", Body));
+    unsigned Delays = 0;
+    for (const KernelEq &Eq : C->Kernel->Equations)
+      if (Eq.Kind == KernelEqKind::Delay) {
+        ++Delays;
+        EXPECT_EQ(Eq.DelayInit.Kind, TypeKind::Real) << Body;
+        EXPECT_EQ(C->Kernel->Signals[Eq.Target].Type, TypeKind::Real) << Body;
+      }
+    EXPECT_EQ(Delays, Depth) << Body;
+  }
 }
 
 TEST(Sema, DeepDelayExpandsToChain) {
