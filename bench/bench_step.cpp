@@ -11,9 +11,6 @@
 ///                descriptor indices, three-address expression bytecode
 ///                over scratch slots, skip-offset block linearization;
 ///                zero per-instant heap allocation),
-///   * vm-batch — the same VM through stepN windows: the virtual
-///                environment boundary is crossed once per descriptor
-///                per batch instead of once per query per instant,
 ///   * cemit    — the C emitted from the same bytecode, compiled by the
 ///                host C compiler and timed in a subprocess (the paper's
 ///                actual artifact; skipped when no compiler is found).
@@ -23,8 +20,10 @@
 /// clock hierarchy pays — the paper's Figure-9 effect; the denser, the
 /// more the allocation-free expression engine pays).
 ///
+/// Both VM legs run VmExecutor::run, i.e. windows of RunWindow instants.
+///
 /// Usage: bench_step [--json FILE] [--json-cemit FILE] [--instants K]
-///        [--batch B] [--no-builtins] [--no-cemit]
+///        [--no-builtins] [--no-cemit]
 /// CI uploads the JSON outputs as BENCH_interp.json and BENCH_cemit.json.
 ///
 //===----------------------------------------------------------------------===//
@@ -65,25 +64,23 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
 struct Row {
   std::string Name;
   unsigned TickPermille = 800;
-  double FlatPerSec = 0, VmPerSec = 0, VmBatchPerSec = 0;
+  double FlatPerSec = 0, VmPerSec = 0;
   double CEmitPerSec = 0; ///< 0 when the cemit leg did not run.
   double GuardsFlat = 0, GuardsVm = 0;
   double InstrsVm = 0;
 };
 
-template <typename Exec, typename Run>
-double throughput(Exec &E, unsigned TickPermille, unsigned Instants,
-                  Run RunFn) {
+double throughput(VmExecutor &E, unsigned TickPermille, unsigned Instants) {
   // Warm up and time the same environment instance, so the one-time
   // binding resolution stays outside the measured window. Random
   // answers are pure functions of (seed, name, instant): re-running
   // instants 0..N-1 after reset() replays the identical trace.
   DiscardEnvironment Env(42, TickPermille);
-  RunFn(E, Env, Instants / 8 + 1); // Bind + warm caches.
+  E.run(Env, Instants / 8 + 1); // Bind + warm caches.
   E.reset();
   E.resetCounters();
   auto T0 = std::chrono::steady_clock::now();
-  RunFn(E, Env, Instants);
+  E.run(Env, Instants);
   double S = secondsSince(T0);
   return S > 0 ? Instants / S : 0;
 }
@@ -172,8 +169,7 @@ double cemitThroughput(const Compilation &C, unsigned TickPermille,
 }
 
 Row benchProgram(const std::string &Name, const std::string &Source,
-                 unsigned TickPermille, unsigned Instants, unsigned Batch,
-                 bool WithCEmit) {
+                 unsigned TickPermille, unsigned Instants, bool WithCEmit) {
   auto C = compileSource("<bench:" + Name + ">", Source);
   if (!C->Ok) {
     std::fprintf(stderr, "%s: compilation failed:\n%s", Name.c_str(),
@@ -184,29 +180,18 @@ Row benchProgram(const std::string &Name, const std::string &Source,
   R.Name = Name;
   R.TickPermille = TickPermille;
 
-  auto Run = [](VmExecutor &E, Environment &Env, unsigned N) {
-    E.run(Env, N);
-  };
   {
     CompiledStep Flat =
         CompiledStep::build(*C->Kernel, C->Step, StepLayout::Flat);
     VmExecutor Exec(Flat);
-    R.FlatPerSec = throughput(Exec, TickPermille, Instants, Run);
+    R.FlatPerSec = throughput(Exec, TickPermille, Instants);
     R.GuardsFlat = static_cast<double>(Exec.guardTests()) / Instants;
   }
   {
     VmExecutor Exec(C->Compiled);
-    R.VmPerSec = throughput(Exec, TickPermille, Instants, Run);
+    R.VmPerSec = throughput(Exec, TickPermille, Instants);
     R.GuardsVm = static_cast<double>(Exec.guardTests()) / Instants;
     R.InstrsVm = static_cast<double>(Exec.executed()) / Instants;
-  }
-  {
-    VmExecutor Exec(C->Compiled);
-    R.VmBatchPerSec =
-        throughput(Exec, TickPermille, Instants,
-                   [Batch](VmExecutor &E, Environment &Env, unsigned N) {
-                     E.runBatched(Env, N, Batch);
-                   });
   }
   if (WithCEmit)
     R.CEmitPerSec = cemitThroughput(*C, TickPermille, Instants);
@@ -217,7 +202,6 @@ Row benchProgram(const std::string &Name, const std::string &Source,
 
 int main(int Argc, char **Argv) {
   unsigned Instants = 20000;
-  unsigned Batch = 64;
   bool Builtins = true, WithCEmit = true;
   std::string JsonPath, JsonCemitPath;
   for (int I = 1; I < Argc; ++I) {
@@ -228,8 +212,6 @@ int main(int Argc, char **Argv) {
       JsonCemitPath = Argv[++I];
     else if (Arg == "--instants" && I + 1 < Argc)
       Instants = static_cast<unsigned>(std::stoul(Argv[++I]));
-    else if (Arg == "--batch" && I + 1 < Argc)
-      Batch = static_cast<unsigned>(std::stoul(Argv[++I]));
     else if (Arg == "--no-builtins")
       Builtins = false;
     else if (Arg == "--no-cemit")
@@ -240,18 +222,16 @@ int main(int Argc, char **Argv) {
     WithCEmit = false;
   }
 
-  std::printf("Execution-engine throughput (instants/sec, %u instants, "
-              "batch %u)\n\n",
-              Instants, Batch);
-  std::printf("%-14s %6s %11s %11s %11s %12s %8s %8s\n", "program",
-              "tick", "flat", "vm", "vm-batch", "cemit", "vm/flat",
-              "cemit/vm");
+  std::printf("Execution-engine throughput (instants/sec, %u instants)\n\n",
+              Instants);
+  std::printf("%-14s %6s %11s %11s %12s %8s %8s\n", "program", "tick",
+              "flat", "vm", "cemit", "vm/flat", "cemit/vm");
 
   std::vector<Row> Rows;
   auto Report = [&](const Row &R) {
-    std::printf("%-14s %6u %11.0f %11.0f %11.0f %12.0f %7.2fx %7.2fx\n",
+    std::printf("%-14s %6u %11.0f %11.0f %12.0f %7.2fx %7.2fx\n",
                 R.Name.c_str(), R.TickPermille, R.FlatPerSec, R.VmPerSec,
-                R.VmBatchPerSec, R.CEmitPerSec,
+                R.CEmitPerSec,
                 R.FlatPerSec > 0 ? R.VmPerSec / R.FlatPerSec : 0,
                 R.VmPerSec > 0 ? R.CEmitPerSec / R.VmPerSec : 0);
     Rows.push_back(R);
@@ -259,7 +239,7 @@ int main(int Argc, char **Argv) {
 
   if (Builtins)
     for (const Figure13Program &P : figure13Suite())
-      Report(benchProgram(P.Name, P.Source, 800, Instants, Batch, WithCEmit));
+      Report(benchProgram(P.Name, P.Source, 800, Instants, WithCEmit));
 
   // Deep divider chains: the paper's deep partition hierarchies, at
   // dense and sparse root activity.
@@ -269,7 +249,7 @@ int main(int Argc, char **Argv) {
       Shape.DividerStages = Stages;
       Report(benchProgram("chain" + std::to_string(Stages),
                           generateProgram("CHAIN", Shape), Permille, Instants,
-                          Batch, WithCEmit));
+                          WithCEmit));
     }
 
   if (!JsonPath.empty()) {
@@ -281,11 +261,8 @@ int main(int Argc, char **Argv) {
           << "\", "
           << "\"flat_steps_per_sec\": " << R.FlatPerSec << ", "
           << "\"vm_steps_per_sec\": " << R.VmPerSec << ", "
-          << "\"vm_batch_steps_per_sec\": " << R.VmBatchPerSec << ", "
           << "\"vm_vs_flat\": "
           << (R.FlatPerSec > 0 ? R.VmPerSec / R.FlatPerSec : 0) << ", "
-          << "\"vm_batch_vs_vm\": "
-          << (R.VmPerSec > 0 ? R.VmBatchPerSec / R.VmPerSec : 0) << ", "
           << "\"guards_per_instant_flat\": " << R.GuardsFlat << ", "
           << "\"guards_per_instant_vm\": " << R.GuardsVm << ", "
           << "\"instrs_per_instant_vm\": " << R.InstrsVm << "}"
@@ -304,7 +281,6 @@ int main(int Argc, char **Argv) {
           << R.TickPermille << "\", "
           << "\"cemit_steps_per_sec\": " << R.CEmitPerSec << ", "
           << "\"vm_steps_per_sec\": " << R.VmPerSec << ", "
-          << "\"vm_batch_steps_per_sec\": " << R.VmBatchPerSec << ", "
           << "\"cemit_vs_vm\": "
           << (R.VmPerSec > 0 ? R.CEmitPerSec / R.VmPerSec : 0) << "}"
           << (I + 1 < Rows.size() ? "," : "") << "\n";

@@ -24,8 +24,9 @@
 ///   --with-driver      add a main() to the generated C
 ///   --simulate N       run N instants with a random environment
 ///   --seed S           PRNG seed for --simulate
-///   --batch B          run --simulate in stepN windows of B instants
-///                      (bulk environment exchange)
+///   --batch B          window size of a run: instants per bulk
+///                      environment exchange (default 8; for --serve
+///                      and --replay, see their defaults)
 ///   --record FILE      while simulating, record the trace (clock ticks,
 ///                      input values, outputs) to FILE in the binary
 ///                      trace format
@@ -86,7 +87,6 @@
 #include "io/TraceEnvironment.h"
 #include "link/LinkEmitter.h"
 #include "link/Linker.h"
-#include "native/NativeExecutor.h"
 #include "native/TierController.h"
 #include "programs/Programs.h"
 
@@ -115,6 +115,8 @@ void printUsage() {
                "         --emit-c --with-driver\n"
                "         --simulate N --seed S --batch B "
                "--fleet N --threads T\n"
+               "         (--batch B: window size, instants per environment "
+               "exchange)\n"
                "         --stats --native off|auto|force --cache-dir DIR "
                "--tier-after N\n"
                "         --record FILE --frame W --replay FILE "
@@ -417,6 +419,9 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "signalc: warning: --threads is ignored %s\n",
                  ServeSock.empty() ? "without --fleet" : "under --serve");
 
+  // Every run steps windows; --batch only picks their size.
+  const unsigned Window = Batch ? Batch : RunWindow;
+
   //===--------------------------------------------------------------------===//
   // Link mode: separate compilation of N processes, then interface link.
   //===--------------------------------------------------------------------===//
@@ -468,9 +473,7 @@ int main(int Argc, char **Argv) {
     if (Simulate) {
       RandomEnvironment Env(Seed);
       LinkedExecutor Exec(Sys);
-      bool Ran = Batch > 1 ? Exec.runBatched(Env, Simulate, Batch)
-                           : Exec.run(Env, Simulate);
-      if (!Ran) {
+      if (!Exec.runBatched(Env, Simulate, Window)) {
         std::fprintf(stderr, "signalc: linked simulation stopped: %s\n",
                      Exec.error().c_str());
         return 1;
@@ -600,10 +603,10 @@ int main(int Argc, char **Argv) {
     TraceEnvironment Env(Reader);
     Env.setVerifyOutputs(true);
     VmExecutor Exec(C->Compiled);
-    unsigned Window = Batch > 1 ? Batch : Reader.spec().FrameInstants;
+    unsigned ReplayWindow = Batch ? Batch : Reader.spec().FrameInstants;
     unsigned At = 0;
     for (;;) {
-      unsigned N = Env.prepare(At, Window);
+      unsigned N = Env.prepare(At, ReplayWindow);
       if (N == 0)
         break;
       Exec.stepN(Env, At, N);
@@ -629,8 +632,7 @@ int main(int Argc, char **Argv) {
 
   if (Simulate && !RecordFile.empty() && !Fleet) {
     // Record: a normal random simulation whose exchanged windows are
-    // mirrored into a trace file. Always the batched VM — recording
-    // frames flush as bulk windows complete.
+    // mirrored into a trace file; frames flush as windows complete.
     if (Tier.Mode != NativeMode::Off)
       std::fprintf(stderr, "signalc: warning: --native is ignored while "
                            "recording (the recorder runs the vm)\n");
@@ -648,10 +650,7 @@ int main(int Argc, char **Argv) {
     RandomEnvironment Rnd(Seed);
     RecordingEnvironment Env(Rnd, Writer);
     VmExecutor Exec(C->Compiled);
-    if (Batch > 1)
-      Exec.runBatched(Env, Simulate, Batch);
-    else
-      Exec.run(Env, Simulate);
+    Exec.runBatched(Env, Simulate, Window);
     if (!Writer.finish(Simulate)) {
       // The sink latched the first failure with its byte position.
       std::fprintf(stderr, "signalc: write failed on '%s' %s\n",
@@ -672,112 +671,66 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "signalc: warning: --record needs --simulate N "
                          "(and no --fleet); nothing recorded\n");
 
-  if (Simulate && Fleet) {
-    // Fleet simulation: N instances of the compiled process, each with
-    // its own deterministic environment (seed S + j), run as scalar
-    // lanes sharded over --threads workers. Traces print per instance in
-    // instance order; counters are fleet-wide sums.
+  if (Simulate) {
+    // A scalar simulation is a fleet of one lane. Instance j has its own
+    // deterministic environment (seed S + j); lanes shard over --threads
+    // workers. Traces print per instance in instance order; counters are
+    // fleet-wide sums.
+    const unsigned Lanes = Fleet ? Fleet : 1;
     std::vector<std::unique_ptr<RandomEnvironment>> Owned;
     std::vector<Environment *> Envs;
-    for (unsigned J = 0; J < Fleet; ++J) {
+    for (unsigned J = 0; J < Lanes; ++J) {
       Owned.push_back(std::make_unique<RandomEnvironment>(Seed + J));
       Envs.push_back(Owned.back().get());
     }
     FleetExecutor::Config Cfg;
     Cfg.Threads = FleetThreads;
-    FleetExecutor Exec(C->Compiled, Fleet, Cfg);
-    if (Tier.Mode == NativeMode::Off) {
-      if (Batch > 1)
-        Exec.runBatched(Envs, Simulate, Batch);
-      else
-        Exec.run(Envs, Simulate);
-    } else {
-      // Tiered fleet: poll the controller at window boundaries and move
-      // every lane onto the native step when it is ready.
-      TierController TC(C->Compiled, Tier);
-      if (!TC.start()) {
-        std::fprintf(stderr, "signalc: --native force failed: %s\n",
-                     TC.error().c_str());
-        return 1;
-      }
-      unsigned Window = Batch > 1 ? Batch : 8;
-      for (unsigned At = 0; At < Simulate;) {
-        if (!Exec.nativeActive() && TC.shouldPromote(At))
-          Exec.setNative(TC.module());
-        unsigned N = std::min(Window, Simulate - At);
-        Exec.stepN(Envs, At, N);
-        if (Exec.nativeActive())
-          TC.noteNativeInstants(N);
-        else
-          TC.noteVmInstants(N);
-        At += N;
-      }
-      if (Stats)
-        printTierStats(TC);
-    }
-    std::printf("fleet simulation (%u instances, %u instants, seed %llu, "
-                "%u thread(s)):\n",
-                Fleet, Simulate, static_cast<unsigned long long>(Seed),
-                Exec.threads());
-    for (unsigned J = 0; J < Fleet; ++J)
-      std::printf("instance %u:\n%s", J,
-                  formatEvents(Owned[J]->outputs()).c_str());
-    if (Stats)
-      printStats("fleet", Simulate * Fleet, Exec.executed(),
-                 Exec.guardTests(), FlatGuards);
-    return 0;
-  }
-
-  if (Simulate) {
-    RandomEnvironment Env(Seed);
-    uint64_t Executed = 0, GuardTests = 0;
+    FleetExecutor Exec(C->Compiled, Lanes, Cfg);
+    // Tiered run: the VM carries the lanes until the cache hit or the
+    // background compile is ready; then, at a window boundary, every lane
+    // moves onto the native step (the lane state blocks are the format
+    // both tiers read, and the emitted C keeps the counters VM-exactly).
+    std::unique_ptr<TierController> TC;
     if (Tier.Mode != NativeMode::Off) {
-      // Tiered scalar run: the VM carries the session until the cache
-      // hit / background compile is ready, then the session hot-swaps
-      // onto the native step at a batch boundary (a pure state copy —
-      // the emitted C maintains the counters VM-exactly).
-      TierController TC(C->Compiled, Tier);
-      if (!TC.start()) {
+      TC = std::make_unique<TierController>(C->Compiled, Tier);
+      if (!TC->start()) {
         std::fprintf(stderr, "signalc: --native force failed: %s\n",
-                     TC.error().c_str());
+                     TC->error().c_str());
         return 1;
       }
-      VmExecutor Vm(C->Compiled);
-      std::unique_ptr<NativeExecutor> NX;
-      unsigned Window = Batch > 1 ? Batch : 8;
-      for (unsigned At = 0; At < Simulate;) {
-        if (!NX && TC.shouldPromote(At)) {
-          NX = std::make_unique<NativeExecutor>(C->Compiled, *TC.module());
-          NX->importState(Vm.stateSlots(), Vm.guardTests(), Vm.executed());
-        }
-        unsigned N = std::min(Window, Simulate - At);
-        if (NX) {
-          NX->stepN(Env, At, N);
-          TC.noteNativeInstants(N);
-        } else {
-          Vm.stepN(Env, At, N);
-          TC.noteVmInstants(N);
-        }
-        At += N;
-      }
-      Executed = NX ? NX->executed() : Vm.executed();
-      GuardTests = NX ? NX->guardTests() : Vm.guardTests();
-      if (Stats)
-        printTierStats(TC);
-    } else {
-      VmExecutor Exec(C->Compiled);
-      if (Batch > 1)
-        Exec.runBatched(Env, Simulate, Batch);
-      else
-        Exec.run(Env, Simulate);
-      Executed = Exec.executed();
-      GuardTests = Exec.guardTests();
     }
-    std::printf("simulation (%u instants, seed %llu):\n%s", Simulate,
-                static_cast<unsigned long long>(Seed),
-                formatEvents(Env.outputs()).c_str());
+    // Untiered, one call runs every window, so shard threads start once.
+    if (!TC)
+      Exec.runBatched(Envs, Simulate, Window);
+    for (unsigned At = 0; TC && At < Simulate;) {
+      if (!Exec.nativeActive() && TC->shouldPromote(At))
+        Exec.setNative(TC->module());
+      unsigned N = std::min(Window, Simulate - At);
+      Exec.stepN(Envs, At, N);
+      if (Exec.nativeActive())
+        TC->noteNativeInstants(N);
+      else
+        TC->noteVmInstants(N);
+      At += N;
+    }
+    if (TC && Stats)
+      printTierStats(*TC);
+    if (Fleet) {
+      std::printf("fleet simulation (%u instances, %u instants, seed %llu, "
+                  "%u thread(s)):\n",
+                  Fleet, Simulate, static_cast<unsigned long long>(Seed),
+                  Exec.threads());
+      for (unsigned J = 0; J < Fleet; ++J)
+        std::printf("instance %u:\n%s", J,
+                    formatEvents(Owned[J]->outputs()).c_str());
+    } else {
+      std::printf("simulation (%u instants, seed %llu):\n%s", Simulate,
+                  static_cast<unsigned long long>(Seed),
+                  formatEvents(Owned[0]->outputs()).c_str());
+    }
     if (Stats)
-      printStats("vm", Simulate, Executed, GuardTests, FlatGuards);
+      printStats(Fleet ? "fleet" : "vm", Simulate * Lanes, Exec.executed(),
+                 Exec.guardTests(), FlatGuards);
   }
   return 0;
 }

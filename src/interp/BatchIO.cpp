@@ -52,7 +52,7 @@ void BatchIO::flush(Environment &Env, const BoundEnv &B, unsigned Start,
         OutVals[At] = toValue(Outs[At],
                               CS.Outputs[CS.OutputFlushOrder[Pos]].Type);
     }
-  // One crossing back, in unbatched order.
+  // One crossing back, instant by instant.
   Env.exchangeOutputs(Start, Count, static_cast<unsigned>(NumOut),
                       B.FlushIds.data(), OutPresent.data(), OutVals.data());
 }

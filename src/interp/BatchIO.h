@@ -1,8 +1,8 @@
 //===--- BatchIO.h - Typed environment exchange of a batch ------*- C++-*-===//
 ///
 /// \file
-/// The environment boundary of a batched executor, shared by the VM and
-/// the native tier. The Environment speaks tagged Values; the step reads
+/// The environment boundary of an executor's window, shared by the VM
+/// and the native tier. The Environment speaks tagged Values; the step reads
 /// and writes 8-byte Slots. BatchIO converts between the two once per
 /// value and batch, by declared type, never inside the step:
 ///
@@ -13,8 +13,8 @@
 ///   * flush() turns every present output slot back into a Value of the
 ///     output's declared type (the step writes outputs in that
 ///     representation) and hands the window to
-///     Environment::exchangeOutputs in the order an unbatched run records
-///     it.
+///     Environment::exchangeOutputs instant by instant, each instant's
+///     outputs in write order.
 ///
 /// Columns are strided by capacity(), the layout `sigc_native_run` reads.
 ///
@@ -30,6 +30,10 @@
 #include <vector>
 
 namespace sigc {
+
+/// Instants per window of the executors' run() and of a simulation that
+/// names no window size.
+constexpr unsigned RunWindow = 8;
 
 /// An environment bound to a CompiledStep: descriptor ids, the batch
 /// flush table (flush position -> output id) and the identity() it was

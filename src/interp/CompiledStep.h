@@ -124,9 +124,9 @@ struct CompiledStep {
   std::vector<TypeKind> ValueSlotType;
 
   /// Output descriptor indices in the order their WriteOutput
-  /// instructions appear in Code. Batched execution buffers a whole
-  /// batch of outputs and flushes them instant by instant in this order,
-  /// reproducing exactly the event sequence an unbatched run records.
+  /// instructions appear in Code. A window buffers its outputs and
+  /// flushes them instant by instant in this order, reproducing exactly
+  /// the event sequence of stepping one instant at a time.
   std::vector<int32_t> OutputFlushOrder;
 
   /// Builds the slot-resolved step from a compiled StepProgram, in the

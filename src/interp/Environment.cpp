@@ -61,7 +61,7 @@ void Environment::exchangeOutputs(unsigned Start, unsigned Count,
                                   const unsigned char *Present,
                                   const Value *Vals) {
   // Instants outer, outputs inner (in the executor's emission order):
-  // the recorded event sequence is bit-identical to an unbatched run's.
+  // the recorded event sequence is bit-identical to a per-instant run's.
   for (unsigned I = 0; I < Count; ++I)
     for (unsigned O = 0; O < NumOutputs; ++O)
       if (Present[I * NumOutputs + O])

@@ -14,10 +14,7 @@
 /// phase. An executor resolves every name it will ever ask about exactly
 /// once (resolveClock/resolveInput/resolveOutput return dense ids), and
 /// the per-instant queries carry only those ids — no string hashing,
-/// comparison or construction on the reactive step. A thin name-based
-/// adapter (the string overloads of clockTick/inputValue/writeOutput)
-/// survives for tests, examples and the CLI; it resolves on every call
-/// and is deliberately not for hot loops.
+/// comparison or construction on the reactive step.
 ///
 /// Two ready-made environments cover testing and benchmarking:
 /// RandomEnvironment (deterministic PRNG) and ScriptedEnvironment (exact
@@ -110,13 +107,13 @@ public:
   virtual void writeOutput(EnvOutputId Output, unsigned Instant,
                            const Value &V);
 
-  //===--- Bulk exchange (hot path, once per batch) -----------------------===//
+  //===--- Bulk exchange (hot path, once per window) ----------------------===//
   //
-  // Batched executors cross the virtual environment boundary once per
-  // descriptor per batch instead of once per query per instant. The
-  // defaults delegate to the per-instant virtuals, so every environment
-  // is batchable; RandomEnvironment overrides them with straight loops.
-  // Bulk input fetches are unconditional over the batch window — an
+  // Executors cross the virtual environment boundary once per descriptor
+  // per window instead of once per query per instant. The defaults
+  // delegate to the per-instant virtuals, so every environment serves
+  // windows; RandomEnvironment overrides them with straight loops. Bulk
+  // input fetches are unconditional over the window — an
   // environment whose answers are pure functions of (binding, instant),
   // which the differential-testing contract already requires, observes
   // no difference.
@@ -131,33 +128,16 @@ public:
   virtual void inputValues(EnvInputId Input, unsigned Start, unsigned Count,
                            Value *Out);
 
-  /// Delivers a whole batch of outputs in one crossing. \p Present and
+  /// Delivers a whole window of outputs in one crossing. \p Present and
   /// \p Vals are row-major [instant][output] over \p NumOutputs outputs
   /// whose ids are \p Ids, listed in the executor's per-instant emission
   /// order; the default replays them through writeOutput() instant by
-  /// instant, reproducing exactly the event sequence an unbatched run
+  /// instant, reproducing exactly the event sequence a per-instant run
   /// records.
   virtual void exchangeOutputs(unsigned Start, unsigned Count,
                                unsigned NumOutputs, const EnvOutputId *Ids,
                                const unsigned char *Present,
                                const Value *Vals);
-
-  //===--- Name-based adapter (tests, CLI, harness generation) ------------===//
-
-  /// Resolves \p ClockName and queries it: convenience, not for hot loops.
-  bool clockTick(const std::string &ClockName, unsigned Instant) {
-    return clockTick(resolveClock(ClockName), Instant);
-  }
-  /// Resolves \p SignalName and queries it: convenience, not for hot loops.
-  Value inputValue(const std::string &SignalName, TypeKind Type,
-                   unsigned Instant) {
-    return inputValue(resolveInput(SignalName, Type), Instant);
-  }
-  /// Resolves \p SignalName and writes it: convenience, not for hot loops.
-  void writeOutput(const std::string &SignalName, unsigned Instant,
-                   const Value &V) {
-    writeOutput(resolveOutput(SignalName, V.Kind), Instant, V);
-  }
 
   //===--- Binding-table introspection (adapters, executors) --------------===//
 
@@ -237,10 +217,6 @@ StepBindings resolveBindings(Environment &Env, const ClockDescs &Clocks,
 /// at binding time; the hot path is pure integer mixing.
 class RandomEnvironment : public Environment {
 public:
-  using Environment::clockTick;
-  using Environment::inputValue;
-  using Environment::writeOutput;
-
   explicit RandomEnvironment(uint64_t Seed, unsigned TickPermille = 800)
       : Seed(Seed), TickPermille(TickPermille) {}
 
@@ -280,10 +256,6 @@ private:
 /// it is for tests, not benchmarks.
 class ScriptedEnvironment : public Environment {
 public:
-  using Environment::clockTick;
-  using Environment::inputValue;
-  using Environment::writeOutput;
-
   /// Makes \p ClockName tick at \p Instant.
   void tick(const std::string &ClockName, unsigned Instant) {
     Ticks[{ClockName, Instant}] = true;

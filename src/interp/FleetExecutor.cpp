@@ -100,6 +100,17 @@ void FleetExecutor::collectCounters(Shard &S) {
 
 void FleetExecutor::stepN(const std::vector<Environment *> &Envs,
                           unsigned Start, unsigned Count) {
+  runWindows(Envs, Start, Count, Count);
+}
+
+void FleetExecutor::runBatched(const std::vector<Environment *> &Envs,
+                               unsigned Count, unsigned Window) {
+  runWindows(Envs, 0, Count, std::max(Window, 1u));
+}
+
+void FleetExecutor::runWindows(const std::vector<Environment *> &Envs,
+                               unsigned Start, unsigned Count,
+                               unsigned Window) {
   if (Count == 0 || NumInstances == 0)
     return;
   assert(Envs.size() >= NumInstances && "one environment per instance");
@@ -110,16 +121,22 @@ void FleetExecutor::stepN(const std::vector<Environment *> &Envs,
     if (Envs[Inst]->identity() != Binds[Inst].Identity)
       bindInstance(Inst, *Envs[Inst]);
 
+  // Lanes are independent, so a shard steps all windows of its lanes
+  // without waiting for the other shards: one thread per shard per call,
+  // not per window.
+  const unsigned End = Start + Count;
+  auto RunShard = [&](Shard &S) {
+    for (unsigned At = Start; At < End; At += Window)
+      runLanes(S, Envs, S.First, S.End, At, std::min(Window, End - At));
+  };
   if (Shards.size() == 1) {
     // Inline execution: the allocation-free path (thread spawn allocates).
-    runLanes(Shards[0], Envs, Shards[0].First, Shards[0].End, Start, Count);
+    RunShard(Shards[0]);
   } else {
     std::vector<std::thread> Workers;
     Workers.reserve(Shards.size());
     for (Shard &S : Shards)
-      Workers.emplace_back([this, &S, &Envs, Start, Count] {
-        runLanes(S, Envs, S.First, S.End, Start, Count);
-      });
+      Workers.emplace_back([&RunShard, &S] { RunShard(S); });
     for (std::thread &T : Workers)
       T.join();
   }
@@ -143,12 +160,4 @@ void FleetExecutor::stepLanes(const std::vector<Environment *> &Envs,
 
   runLanes(Shards[0], Envs, First, First + Num, Start, Count);
   collectCounters(Shards[0]);
-}
-
-void FleetExecutor::runBatched(const std::vector<Environment *> &Envs,
-                               unsigned Count, unsigned Window) {
-  if (Window == 0)
-    Window = 1;
-  for (unsigned Start = 0; Start < Count; Start += Window)
-    stepN(Envs, Start, std::min(Window, Count - Start));
 }

@@ -17,11 +17,12 @@
 ///     through the whole window. Batch buffers belong to the shard, so
 ///     memory does not grow with the lane count,
 ///   * contiguous lane ranges, aligned to Config::LaneBlock, shard across
-///     a std::thread pool. Shards share nothing mutable, and each lane
-///     owns its Environment, so the result is deterministic for any
-///     thread count.
+///     std::threads, one per shard per call; a shard steps its lanes
+///     through every window of the call. Shards share nothing mutable,
+///     and each lane owns its Environment, so the result is
+///     deterministic for any thread count.
 ///
-/// Every lane runs exactly the scalar batch, so per-lane traces equal
+/// Every lane runs exactly the scalar window, so per-lane traces equal
 /// scalar runs and guardTests()/executed() are the exact sums of the
 /// per-instance scalar counts — pinned by the differential oracle.
 ///
@@ -83,8 +84,8 @@ public:
   void bindInstance(unsigned Inst, Environment &Env);
 
   /// Runs \p Count reactions starting at instant \p Start for every
-  /// instance; each lane runs the scalar batch, so its outputs flush in
-  /// exactly the order a scalar unbatched run records them.
+  /// instance; each lane runs the scalar window, so its outputs flush in
+  /// exactly the order a scalar run records them.
   void stepN(const std::vector<Environment *> &Envs, unsigned Start,
              unsigned Count);
 
@@ -98,13 +99,15 @@ public:
   void stepLanes(const std::vector<Environment *> &Envs, unsigned First,
                  unsigned Num, unsigned Start, unsigned Count);
 
-  /// Runs \p Count reactions starting at instant 0 in one window.
+  /// Runs \p Count reactions starting at instant 0 in windows of
+  /// RunWindow instants.
   void run(const std::vector<Environment *> &Envs, unsigned Count) {
-    stepN(Envs, 0, Count);
+    runBatched(Envs, Count, RunWindow);
   }
 
-  /// Runs \p Count reactions starting at instant 0, windowed by
-  /// \p Window instants (bounds the batch-buffer footprint).
+  /// Runs \p Count reactions starting at instant 0 in windows of
+  /// \p Window instants (0 counts as 1); the window bounds the shard
+  /// buffers' footprint.
   void runBatched(const std::vector<Environment *> &Envs, unsigned Count,
                   unsigned Window);
 
@@ -158,6 +161,11 @@ private:
     std::unique_ptr<NativeExecutor> Native; ///< Set while native.
   };
 
+  /// Runs instants [Start, Start+Count) of every instance in windows of
+  /// \p Window instants; each shard steps its own lanes through all of
+  /// them on one thread.
+  void runWindows(const std::vector<Environment *> &Envs, unsigned Start,
+                  unsigned Count, unsigned Window);
   /// Steps lanes [First, End) through one window on \p S's workspace.
   void runLanes(Shard &S, const std::vector<Environment *> &Envs,
                 unsigned First, unsigned End, unsigned Start,

@@ -9,9 +9,8 @@ using namespace sigc;
 LinkedExecutor::LinkedExecutor(const LinkedSystem &Sys)
     : Sys(Sys), Fused(Sys.Fused), Exec(Fused) {
   // Watch the consumer/producer clock-slot pair of every dynamic
-  // channel: batched windows record their presence per instant, and a
-  // negative slot (a clock the unit proved null) records as absent —
-  // the same convention the unbatched comparison uses.
+  // channel: windows record their presence per instant, and a negative
+  // slot (a clock the unit proved null) records as absent.
   std::vector<int> Watch;
   Watch.reserve(Sys.DynChecks.size() * 2);
   for (const LinkedSystem::DynCheck &C : Sys.DynChecks) {
@@ -38,25 +37,6 @@ LinkedExecutor::mismatchMessage(const LinkedSystem::DynCheck &Check,
          (ConsumerPresent ? "' expected a value" : "' expected silence");
 }
 
-bool LinkedExecutor::step(Environment &Env, unsigned Instant) {
-  if (!Error.empty())
-    return false;
-  Exec.step(Env, Instant);
-  // The fused instant is complete (outputs emitted); now both sides of
-  // every dynamic channel must agree on presence.
-  for (const LinkedSystem::DynCheck &C : Sys.DynChecks) {
-    bool ConsumerPresent =
-        C.ConsumerSlot >= 0 && Exec.clockPresent(C.ConsumerSlot);
-    bool ProducerPresent =
-        C.ProducerSlot >= 0 && Exec.clockPresent(C.ProducerSlot);
-    if (ConsumerPresent != ProducerPresent) {
-      Error = mismatchMessage(C, Instant, ProducerPresent, ConsumerPresent);
-      return false;
-    }
-  }
-  return true;
-}
-
 bool LinkedExecutor::stepN(Environment &Env, unsigned Start, unsigned Count) {
   if (Count == 0)
     return true;
@@ -73,8 +53,8 @@ bool LinkedExecutor::stepN(Environment &Env, unsigned Start, unsigned Count) {
   BatchEnv.Buf.clear();
   Exec.stepN(BatchEnv, Start, Count);
 
-  // The first violation an unbatched run would hit: ordered by instant,
-  // then by check order within the instant.
+  // The first violation: ordered by instant, then by check order within
+  // the instant.
   bool HaveErr = false;
   unsigned ErrInstant = 0;
   for (unsigned I = 0; I < Count && !HaveErr; ++I) {
@@ -92,9 +72,9 @@ bool LinkedExecutor::stepN(Environment &Env, unsigned Start, unsigned Count) {
     }
   }
 
-  // Forward exactly what an unbatched run forwards: every instant up to
-  // and including the erroring one (a completed fused step has already
-  // emitted its outputs when the check fires).
+  // Forward every instant up to and including the erroring one (a
+  // completed fused step has already emitted its outputs when the check
+  // fires).
   for (const BufferEnv::Rec &R : BatchEnv.Buf) {
     if (HaveErr && R.Instant > ErrInstant)
       break; // Buf is instant-major.
@@ -102,13 +82,6 @@ bool LinkedExecutor::stepN(Environment &Env, unsigned Start, unsigned Count) {
   }
   BatchEnv.Buf.clear();
   return !HaveErr;
-}
-
-bool LinkedExecutor::run(Environment &Env, unsigned Count) {
-  for (unsigned I = 0; I < Count; ++I)
-    if (!step(Env, I))
-      return false;
-  return true;
 }
 
 bool LinkedExecutor::runBatched(Environment &Env, unsigned Count,

@@ -15,16 +15,14 @@
 /// instant the consumer's derived presence must agree with the
 /// producer's export presence, otherwise the run stops with a
 /// diagnostic (a clock-interface violation the linker could not prove
-/// either way). Unbatched steps compare the two fused clock slots right
-/// after the instant; batched windows replay the comparison from the
-/// VM's watch-slot recording, and the first violation — ordered by
-/// instant, then by check order — cuts the external flush exactly
-/// where an unbatched run would have stopped (after the erroring
-/// instant, whose outputs a completed fused step has already emitted).
-/// The cut is implemented by running batched windows against a
-/// buffering environment that delays output forwarding until the
-/// checks have passed; systems without dynamic channels skip the
-/// buffer entirely.
+/// either way). The VM records both clock slots per instant in its watch
+/// buffer; after each window the checks replay from that recording, and
+/// the first violation (ordered by instant, then by check order) cuts
+/// the external flush after the erroring instant, whose outputs a
+/// completed fused step has already emitted. The cut is implemented by
+/// running windows against a buffering environment that delays output
+/// forwarding until the checks have passed; systems without dynamic
+/// channels skip the buffer entirely.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,26 +45,24 @@ public:
   /// Re-initializes the fused delay states.
   void reset();
 
-  /// Runs one reaction across the fused system. \returns false on a
-  /// dynamic clock-constraint violation (see error()).
-  bool step(Environment &Env, unsigned Instant);
-
-  /// Runs \p Count reactions starting at instant \p Start through the
-  /// VM's batched window. Trace- and counter-identical to \p Count
-  /// step()s on clean runs; on a dynamic violation the outer
-  /// environment's trace is still cut exactly where an unbatched run
-  /// stops, though the VM has already run the whole window (counters
+  /// Runs \p Count reactions starting at instant \p Start as one VM
+  /// window. \returns false on a dynamic clock-constraint violation (see
+  /// error()); the outer environment's trace then ends with the erroring
+  /// instant, though the VM has already run the whole window (counters
   /// include post-error instants).
   bool stepN(Environment &Env, unsigned Start, unsigned Count);
 
-  /// Runs \p Count reactions starting at instant 0.
-  bool run(Environment &Env, unsigned Count);
+  /// Runs \p Count reactions starting at instant 0 in windows of
+  /// RunWindow instants.
+  bool run(Environment &Env, unsigned Count) {
+    return runBatched(Env, Count, RunWindow);
+  }
 
-  /// Runs \p Count reactions starting at instant 0, stepN-batched in
-  /// windows of \p BatchSize.
+  /// Runs \p Count reactions starting at instant 0 in windows of
+  /// \p BatchSize instants (0 counts as 1).
   bool runBatched(Environment &Env, unsigned Count, unsigned BatchSize);
 
-  /// Non-empty after step()/run() returned false.
+  /// Non-empty after stepN()/run() returned false.
   const std::string &error() const { return Error; }
 
   /// Guard tests of the fused executor.
@@ -75,11 +71,11 @@ public:
   uint64_t executed() const { return Exec.executed(); }
 
 private:
-  /// Pass-through environment that buffers outputs: batched windows run
-  /// against it so a dynamic-check violation can cut the forwarded
-  /// trace at the erroring instant even though the VM flushes whole
-  /// windows. Resolution delegates to the outer environment, so every
-  /// id this wrapper sees *is* an outer id.
+  /// Pass-through environment that buffers outputs: windows run against
+  /// it so a dynamic-check violation can cut the forwarded trace at the
+  /// erroring instant even though the VM flushes whole windows.
+  /// Resolution delegates to the outer environment, so every id this
+  /// wrapper sees *is* an outer id.
   class BufferEnv : public Environment {
   public:
     Environment *Outer = nullptr;
@@ -115,7 +111,7 @@ private:
     }
     // The default exchangeOutputs replays the window through
     // writeOutput instant by instant in emission order, so Buf holds
-    // exactly the unbatched forwarding sequence.
+    // the forwarding sequence in instant order.
     void writeOutput(EnvOutputId Output, unsigned Instant,
                      const Value &V) override {
       Buf.push_back({Output, Instant, V});

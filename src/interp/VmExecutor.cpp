@@ -1,15 +1,12 @@
 //===--- VmExecutor.cpp ---------------------------------------------------===//
 //
 // The typed opcodes and their bodies are one X-macro list, SIGC_VM_OPS;
-// the opcode enum and both dispatch loops are generated from it, so they
-// cannot drift. The interpreter loop exists twice over those bodies: a
-// portable switch dispatcher and a direct-threaded computed-goto
-// dispatcher (GNU labels-as-values). The threaded loop replaces the
-// switch's single shared indirect branch with one `goto *` per op body,
-// so the predictor learns each opcode's actual successor distribution —
-// the classic direct-threading win, which matters here because fleets and
-// cache-miss tiers keep this loop hot. Both dispatchers execute identical
-// semantics and counters.
+// the opcode enum and the dispatch loop are generated from it, so they
+// cannot drift. The loop is direct-threaded (GNU labels-as-values): one
+// `goto *` per op body instead of a switch's single shared indirect
+// branch, so the predictor learns each opcode's actual successor
+// distribution. Compilers without labels-as-values, and builds with
+// -DSIGC_VM_NO_COMPUTED_GOTO, get the same bodies as a switch loop.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,12 +28,13 @@
 
 using namespace sigc;
 
-//===--- The typed op bodies, shared by both dispatchers ------------------===//
+//===--- The typed op bodies ----------------------------------------------===//
 //
 // X(Name, Body...) per opcode. In scope: In (the instruction), S (the
-// frame), Clock, State, P (the port) and Instant. Skip and Halt are not
-// in the list: they are the ops that move the PC non-linearly and touch
-// the counters, so each dispatcher hand-rolls them. Booleans and events
+// frame), Clock, State, and the instant's window entries Ticks, Ins (both
+// strided by Cap), OutPresent and Outs. Skip and Halt are not in the
+// list: they are the ops that move the PC non-linearly and touch the
+// counters, so the loop hand-rolls them. Booleans and events
 // are 0/1 in Slot::I, so logic runs on I directly. Bodies may contain
 // commas — the macro is variadic.
 
@@ -56,7 +54,7 @@ using namespace sigc;
                           : 0;)
 
 #define SIGC_VM_OPS(X)                                                         \
-  X(ReadClock, Clock[In.T] = P.tick(In.A, Instant) ? 1 : 0;)                   \
+  X(ReadClock, Clock[In.T] = Ticks[In.A * Cap] != 0;)                          \
   X(ClockLit, Clock[In.T] = S[In.A].I == In.B ? 1 : 0;)                        \
   X(ClockAnd, Clock[In.T] = Clock[In.A] & Clock[In.B];)                        \
   X(ClockOr, Clock[In.T] = Clock[In.A] | Clock[In.B];)                         \
@@ -64,12 +62,15 @@ using namespace sigc;
     Clock[In.T] = static_cast<char>(Clock[In.A] & (Clock[In.B] ^ 1));)         \
   X(CopyClock, Clock[In.T] = Clock[In.A];)                                     \
   X(ClockFalse, Clock[In.T] = 0;)                                              \
-  X(ReadSignal, S[In.T] = P.input(In.A, Instant);)                             \
+  X(ReadSignal, S[In.T] = Ins[In.A * Cap];)                                    \
   X(Copy, S[In.T] = S[In.A];)                                                  \
   X(Select, S[In.T] = Clock[In.C] ? S[In.A] : S[In.B];)                        \
   X(LoadDelay, S[In.T] = State[In.A];)                                         \
   X(StoreDelay, State[In.T] = S[In.A];)                                        \
-  X(Write, P.output(In.B, In.C, Instant, S[In.A]);)                            \
+  X(Write, {                                                                   \
+    OutPresent[In.B] = 1;                                                      \
+    Outs[In.B] = S[In.A];                                                      \
+  })                                                                           \
   X(ToD, S[In.T].D = static_cast<double>(S[In.A].I);)                          \
   X(NotB, S[In.T].I = S[In.A].I ^ 1;)                                          \
   X(NegI, S[In.T].I = wrapNeg(S[In.A].I);)                                     \
@@ -113,42 +114,6 @@ enum class TOp : uint8_t {
 };
 
 using TInstr = VmExecutor::TInstr;
-
-/// Unbatched port: every query crosses the environment boundary,
-/// converting by declared type on the way.
-struct DirectPort {
-  Environment &Env;
-  const StepBindings &Bind;
-  const CompiledStep &CS;
-  bool tick(int32_t Desc, unsigned Instant) {
-    return Env.clockTick(Bind.Clocks[Desc], Instant);
-  }
-  Slot input(int32_t Desc, unsigned Instant) {
-    return toSlot(Env.inputValue(Bind.Inputs[Desc], Instant),
-                  CS.Inputs[Desc].Type);
-  }
-  void output(int32_t, int32_t Desc, unsigned Instant, Slot V) {
-    Env.writeOutput(Bind.Outputs[Desc], Instant,
-                    toValue(V, CS.Outputs[Desc].Type));
-  }
-};
-
-/// Batched port: ticks and inputs come out of the prefetched columns,
-/// outputs land in the flush rows; no environment crossing at all.
-struct BatchPort {
-  const unsigned char *Ticks; ///< [desc * Cap + I]
-  const Slot *Ins;            ///< [desc * Cap + I]
-  size_t Cap = 0;
-  unsigned char *OutPresent; ///< This instant's row, by flush position.
-  Slot *Outs;
-
-  bool tick(int32_t Desc, unsigned) { return Ticks[Desc * Cap] != 0; }
-  Slot input(int32_t Desc, unsigned) { return Ins[Desc * Cap]; }
-  void output(int32_t Pos, int32_t, unsigned, Slot V) {
-    OutPresent[Pos] = 1;
-    Outs[Pos] = V;
-  }
-};
 
 /// Lowers CompiledStep::Code to typed code over the frame layout
 /// [values | scratch | 2 conversion slots | constants].
@@ -375,14 +340,6 @@ private:
 
 } // namespace
 
-bool VmExecutor::computedGotoAvailable() {
-  return SIGC_VM_COMPUTED_GOTO != 0;
-}
-
-void VmExecutor::setDispatch(VmDispatch D) {
-  UseGoto = D == VmDispatch::Goto && computedGotoAvailable();
-}
-
 VmExecutor::VmExecutor(const CompiledStep &CS,
                        std::shared_ptr<const TypedCode> Code)
     : CS(CS), Typed(std::move(Code)), StateInit(initialState(CS)), IO(CS) {
@@ -411,8 +368,9 @@ void VmExecutor::setStateSlots(const std::vector<Slot> &S) {
 
 void VmExecutor::bind(Environment &Env) { Bind = bindEnv(Env, CS); }
 
-template <typename Port>
-void VmExecutor::execInstantSwitch(Port &P, Slot *State, unsigned Instant) {
+void VmExecutor::execInstant(const unsigned char *Ticks, const Slot *Ins,
+                             size_t Cap, unsigned char *OutPresent,
+                             Slot *Outs, Slot *State) {
   // Presence is recomputed from scratch each instant.
   std::fill(ClockSlots.begin(), ClockSlots.end(), 0);
 
@@ -421,45 +379,7 @@ void VmExecutor::execInstantSwitch(Port &P, Slot *State, unsigned Instant) {
   Slot *S = Frame.data();
   uint64_t Guards = 0, Exec = Typed->RootWeight;
 
-  for (int32_t PC = 0;;) {
-    const TInstr &In = Code[PC];
-    switch (static_cast<TOp>(In.Op)) {
-    case TOp::Halt:
-      GuardTests += Guards;
-      Executed += Exec;
-      return;
-    case TOp::Skip:
-      ++Guards;
-      if (Clock[In.A]) {
-        Exec += static_cast<uint64_t>(In.B);
-        ++PC;
-      } else {
-        PC = In.T;
-      }
-      continue;
-#define SIGC_VM_CASE(Name, ...)                                                \
-  case TOp::Name: {                                                            \
-    __VA_ARGS__                                                                \
-    ++PC;                                                                      \
-    continue;                                                                  \
-  }
-      SIGC_VM_OPS(SIGC_VM_CASE)
-#undef SIGC_VM_CASE
-    }
-  }
-}
-
-template <typename Port>
-void VmExecutor::execInstantGoto(Port &P, Slot *State, unsigned Instant) {
 #if SIGC_VM_COMPUTED_GOTO
-  // Presence is recomputed from scratch each instant.
-  std::fill(ClockSlots.begin(), ClockSlots.end(), 0);
-
-  const TInstr *Code = Typed->Code.data();
-  char *Clock = ClockSlots.data();
-  Slot *S = Frame.data();
-  uint64_t Guards = 0, Exec = Typed->RootWeight;
-
   // Positional dispatch table: one label per TOp, in declaration order.
 #define SIGC_VM_TABLE_ENTRY(Name, ...) &&L_##Name,
   static const void *const Table[] = {&&L_Halt, &&L_Skip,
@@ -497,23 +417,33 @@ L_Skip:
 #undef SIGC_VM_LABEL
 #undef SIGC_VM_DISPATCH
 #else
-  execInstantSwitch(P, State, Instant);
+  for (int32_t PC = 0;;) {
+    const TInstr &In = Code[PC];
+    switch (static_cast<TOp>(In.Op)) {
+    case TOp::Halt:
+      GuardTests += Guards;
+      Executed += Exec;
+      return;
+    case TOp::Skip:
+      ++Guards;
+      if (Clock[In.A]) {
+        Exec += static_cast<uint64_t>(In.B);
+        ++PC;
+      } else {
+        PC = In.T;
+      }
+      continue;
+#define SIGC_VM_CASE(Name, ...)                                                \
+  case TOp::Name: {                                                            \
+    __VA_ARGS__                                                                \
+    ++PC;                                                                      \
+    continue;                                                                  \
+  }
+      SIGC_VM_OPS(SIGC_VM_CASE)
+#undef SIGC_VM_CASE
+    }
+  }
 #endif
-}
-
-template <typename Port>
-void VmExecutor::execInstant(Port &P, Slot *State, unsigned Instant) {
-  if (UseGoto)
-    execInstantGoto(P, State, Instant);
-  else
-    execInstantSwitch(P, State, Instant);
-}
-
-void VmExecutor::step(Environment &Env, unsigned Instant) {
-  if (Env.identity() != Bind.Identity)
-    bind(Env);
-  DirectPort P{Env, Bind.Ids, CS};
-  execInstant(P, StateSlots.data(), Instant);
 }
 
 void VmExecutor::reserveBatch(unsigned MaxCount) {
@@ -545,25 +475,16 @@ void VmExecutor::stepLane(Environment &Env, const BoundEnv &B, Slot *State,
   const size_t NumOut = CS.Outputs.size();
   // Write marks only the outputs an instant produces.
   std::fill_n(IO.OutPresent.begin(), Count * NumOut, 0);
-  BatchPort P;
-  P.Cap = Cap;
   for (unsigned I = 0; I < Count; ++I) {
-    P.Ticks = IO.Ticks.data() + I;
-    P.Ins = IO.Ins.data() + I;
-    P.OutPresent = IO.OutPresent.data() + I * NumOut;
-    P.Outs = IO.Outs.data() + I * NumOut;
-    execInstant(P, State, Start + I);
+    execInstant(IO.Ticks.data() + I, IO.Ins.data() + I, Cap,
+                IO.OutPresent.data() + I * NumOut,
+                IO.Outs.data() + I * NumOut, State);
     for (size_t W = 0; W < WatchSlots.size(); ++W)
       WatchBuf[W * Cap + I] =
           WatchSlots[W] >= 0 ? ClockSlots[WatchSlots[W]] : 0;
   }
 
   IO.flush(Env, B, Start, Count);
-}
-
-void VmExecutor::run(Environment &Env, unsigned Count) {
-  for (unsigned I = 0; I < Count; ++I)
-    step(Env, I);
 }
 
 void VmExecutor::runBatched(Environment &Env, unsigned Count,

@@ -1,7 +1,7 @@
 //===--- VmExecutor.h - CompiledStep execution ------------------*- C++-*-===//
 ///
 /// \file
-/// Executes a CompiledStep instant by instant against an Environment.
+/// Executes a CompiledStep against an Environment, window by window.
 ///
 /// Unless handed another executor's code, the constructor runs the
 /// shared typing pass (StepKinds.h) and lowers CompiledStep::Code once
@@ -22,22 +22,28 @@
 ///   * the stream ends in a Halt sentinel, so dispatch never tests the PC
 ///     against the end.
 ///
-/// The per-instant loop is a flat PC walk: absent clocks skip their
-/// subtree via the skip offsets of CompiledStep. Executed is counted per
-/// block, not per instruction: each Skip carries the summed weight of
-/// its block's direct instructions (a block is straight-line between
-/// guards, so all of them run when the guard holds) and the unguarded
-/// instructions' weight is added once per instant. Both counters live in
-/// locals inside the loop and are stored once per instant.
+/// Every instant runs inside a window (BatchIO): the window's ticks and
+/// inputs are prefetched into typed columns with one environment
+/// crossing per descriptor, the instants walk those columns, and the
+/// output slots flush once at window end in exactly the order the
+/// instants wrote them. step() is a window of one instant, run() steps
+/// windows of RunWindow instants, and stepN() takes the window the
+/// caller picks; traces and counters do not depend on the window size.
+/// In the steady state an instant performs zero heap allocations (pinned
+/// by vm_alloc_test).
 ///
-/// stepN() runs a whole batch of instants with one environment crossing
-/// per descriptor (BatchIO): ticks and inputs are prefetched into typed
-/// columns, outputs buffered as slots and flushed once at batch end in
-/// exactly the order an unbatched run would record them. Traces and
-/// counters are bit-identical to N calls of step(). In the steady state
-/// an instant performs zero heap allocations (pinned by vm_alloc_test).
+/// An instant is a flat PC walk: absent clocks skip their subtree via
+/// the skip offsets of CompiledStep. The loop is direct-threaded (one
+/// computed `goto *` per instruction) wherever the compiler supports
+/// labels-as-values, and a portable switch loop otherwise or under
+/// -DSIGC_VM_NO_COMPUTED_GOTO. Executed is counted per block, not per
+/// instruction: each Skip carries the summed weight of its block's
+/// direct instructions (a block is straight-line between guards, so all
+/// of them run when the guard holds) and the unguarded instructions'
+/// weight is added once per instant. Both counters live in locals inside
+/// the loop and are stored once per instant.
 ///
-/// stepLane() is the same batch over a caller-owned delay-state block
+/// stepLane() is the same window over a caller-owned delay-state block
 /// (the same Slot array the native tier's `sigc_native_set_state` reads)
 /// and binding: one executor steps any number of instances in turn,
 /// which is all a fleet is (see FleetExecutor).
@@ -62,16 +68,6 @@
 #include <vector>
 
 namespace sigc {
-
-/// Instruction-dispatch strategy of the interpreter loop. Direct-threaded
-/// dispatch (GNU labels-as-values: one indirect `goto *` per instruction,
-/// so the branch predictor keys each opcode's successor separately)
-/// is the default wherever the compiler supports it; the portable switch
-/// loop remains both as the fallback and as a benchmarking baseline.
-enum class VmDispatch : uint8_t {
-  Switch, ///< Portable `switch` dispatch.
-  Goto,   ///< Direct-threaded computed-goto dispatch.
-};
 
 /// Interprets a CompiledStep.
 class VmExecutor {
@@ -101,33 +97,22 @@ public:
                       std::shared_ptr<const TypedCode> Code = nullptr);
   const std::shared_ptr<const TypedCode> &typedCode() const { return Typed; }
 
-  /// True when this build carries the computed-goto dispatcher
-  /// (GCC/Clang; disable with -DSIGC_VM_NO_COMPUTED_GOTO).
-  static bool computedGotoAvailable();
-
-  /// Selects the dispatch strategy. Requests for an unavailable
-  /// dispatcher fall back to the portable switch. Trace and counters are
-  /// dispatch-independent — only the loop's branch structure changes.
-  void setDispatch(VmDispatch D);
-  VmDispatch dispatch() const {
-    return UseGoto ? VmDispatch::Goto : VmDispatch::Switch;
-  }
-
   /// Re-initializes the delay states.
   void reset();
 
   /// Resolves the environment binding now (otherwise done lazily on the
-  /// first step with a new environment).
+  /// first window with a new environment).
   void bind(Environment &Env);
 
-  /// Runs one reaction. \p Instant tags environment queries and outputs.
-  void step(Environment &Env, unsigned Instant);
+  /// Runs one reaction: a window of one instant. \p Instant tags
+  /// environment queries and outputs.
+  void step(Environment &Env, unsigned Instant) { stepN(Env, Instant, 1); }
 
-  /// Runs \p Count reactions starting at instant \p Start, crossing the
-  /// environment boundary once per descriptor per batch (bulk tick and
-  /// input prefetch, one output flush). Trace and counters equal \p Count
-  /// calls of step(). Allocation-free once the batch buffers exist (see
-  /// reserveBatch).
+  /// Runs \p Count reactions starting at instant \p Start as one window,
+  /// crossing the environment boundary once per descriptor (bulk tick and
+  /// input prefetch, one output flush). Trace and counters do not depend
+  /// on how a run is cut into windows. Allocation-free once the window
+  /// buffers exist (see reserveBatch).
   void stepN(Environment &Env, unsigned Start, unsigned Count);
 
   /// stepN over a caller-owned lane: \p State is the lane's delay-state
@@ -136,11 +121,14 @@ public:
   void stepLane(Environment &Env, const BoundEnv &B, Slot *State,
                 unsigned Start, unsigned Count);
 
-  /// Runs \p Count reactions starting at instant 0.
-  void run(Environment &Env, unsigned Count);
+  /// Runs \p Count reactions starting at instant 0 in windows of
+  /// RunWindow instants.
+  void run(Environment &Env, unsigned Count) {
+    runBatched(Env, Count, RunWindow);
+  }
 
-  /// Runs \p Count reactions starting at instant 0, stepN-batched in
-  /// windows of \p BatchSize.
+  /// Runs \p Count reactions starting at instant 0 in windows of
+  /// \p BatchSize instants (0 counts as 1).
   void runBatched(Environment &Env, unsigned Count, unsigned BatchSize);
 
   /// Preallocates the batch buffers for batches of up to \p MaxCount
@@ -167,9 +155,6 @@ public:
     Executed = 0;
   }
 
-  /// Post-step inspection (testing, linked dynamic checks).
-  bool clockPresent(int Slot) const { return ClockSlots[Slot] != 0; }
-
   //===--- State exchange (tier hot-swap, tests) --------------------------===//
 
   /// The delay-state slots as they stand now. Taken at a batch boundary
@@ -189,20 +174,15 @@ public:
   }
 
 private:
-  /// One instant's PC walk; \p Port supplies ticks/inputs and receives
-  /// outputs (direct environment queries or batch buffers); \p State is
+  /// One instant's PC walk over the window columns: \p Ticks and \p Ins
+  /// point at this instant's entry of each descriptor's column (stride
+  /// \p Cap), \p OutPresent and \p Outs at its output row. \p State is
   /// the delay-state block the instant reads and updates.
-  template <typename Port>
-  void execInstant(Port &P, Slot *State, unsigned Instant);
-  /// The two dispatch loops over the same op bodies.
-  template <typename Port>
-  void execInstantSwitch(Port &P, Slot *State, unsigned Instant);
-  template <typename Port>
-  void execInstantGoto(Port &P, Slot *State, unsigned Instant);
+  void execInstant(const unsigned char *Ticks, const Slot *Ins, size_t Cap,
+                   unsigned char *OutPresent, Slot *Outs, Slot *State);
 
   const CompiledStep &CS;
-  bool UseGoto = computedGotoAvailable();
-  BoundEnv Bind; ///< The environment of step()/stepN().
+  BoundEnv Bind; ///< The environment of stepN().
   std::shared_ptr<const TypedCode> Typed;
   std::vector<Slot> StateInit;
   std::vector<char> ClockSlots;
@@ -211,7 +191,7 @@ private:
   uint64_t GuardTests = 0;
   uint64_t Executed = 0;
 
-  //===--- Batch state ----------------------------------------------------===//
+  //===--- Window state ---------------------------------------------------===//
   BatchIO IO;
   std::vector<int> WatchSlots;
   std::vector<unsigned char> WatchBuf; ///< [watch][instant].

@@ -45,15 +45,12 @@ namespace sigc {
 /// window, present or not — which is sound because the differential
 /// contract already requires answers to be pure functions of
 /// (binding, instant). Frames flush when a window completes, i.e. at
-/// each bulk exchangeOutputs; a run that never batches (per-instant
-/// writeOutput only) still records correctly but buffers frames until
-/// finish(). The caller finishes the writer after the run.
+/// each bulk exchangeOutputs, so every executor run records the same
+/// bytes whatever its window size. A per-instant client (KernelInterp)
+/// records only what it queries and buffers frames until finish(). The
+/// caller finishes the writer after the run.
 class RecordingEnvironment : public Environment {
 public:
-  using Environment::clockTick;
-  using Environment::inputValue;
-  using Environment::writeOutput;
-
   /// Records the traffic of \p Inner against \p Writer's spec. Names
   /// outside the spec pass through unrecorded.
   RecordingEnvironment(Environment &Inner, TraceWriter &Writer);
@@ -94,10 +91,6 @@ private:
 /// instants the executor has moved past so the window stays bounded.
 class StreamEnvironment : public Environment {
 public:
-  using Environment::clockTick;
-  using Environment::inputValue;
-  using Environment::writeOutput;
-
   explicit StreamEnvironment(TraceSpec Spec);
 
   const TraceSpec &streamSpec() const { return Spec; }
@@ -131,10 +124,10 @@ public:
   /// When W's spec carries clocks/inputs they are echoed too (the
   /// byte-identity pin); an outputsOnly() spec echoes just outputs (the
   /// serve loop's response stream). Pass nullptr to stop echoing.
-  /// Scalar queries echo too (per-instant executors), but like an
-  /// unbatched recording the writer then buffers frames until finish()
+  /// Scalar queries echo too (a per-instant client such as
+  /// KernelInterp), but the writer then buffers frames until finish()
   /// and only the queried instants are mirrored — byte-identity holds
-  /// for the bulk execution path.
+  /// for executor windows.
   void setEcho(TraceWriter *W);
   /// Compares produced outputs against the ones recorded in the trace;
   /// the first divergence is latched in divergence().

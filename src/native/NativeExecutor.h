@@ -5,7 +5,7 @@
 /// VmExecutor batch contract, through the same BatchIO: bulk tick/input
 /// prefetch into typed slot columns, one `sigc_native_run` call per
 /// batch over them, and the output slots flushed through
-/// exchangeOutputs() in the order an unbatched VM run records them.
+/// exchangeOutputs() in the order the VM's window records them.
 /// Traces and the guard/executed counters (maintained inside the native
 /// state struct, VM-exactly, by the emitter) are byte-identical to the
 /// VM's — which is what lets the tier controller hot-swap a session onto

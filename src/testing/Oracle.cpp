@@ -99,8 +99,9 @@ std::string buildHarness(const Compilation &C, const std::string &Proc,
   for (const auto &CI : Step.ClockInputs) {
     Out += "static const int tick_" + sanitizeIdent(CI.Name) + "_v[" +
            std::to_string(N) + "] = {";
+    EnvClockId Clock = Env.resolveClock(CI.Name);
     for (unsigned I = 0; I < N; ++I)
-      Out += std::string(Env.clockTick(CI.Name, I) ? "1" : "0") + ",";
+      Out += std::string(Env.clockTick(Clock, I) ? "1" : "0") + ",";
     Out += "};\n";
   }
   for (const auto &SI : Step.Inputs) {
@@ -109,8 +110,9 @@ std::string buildHarness(const Compilation &C, const std::string &Proc,
                                                       : "int";
     Out += std::string("static const ") + CType + " in_" +
            sanitizeIdent(SI.Name) + "_v[" + std::to_string(N) + "] = {";
+    EnvInputId Input = Env.resolveInput(SI.Name, SI.Type);
     for (unsigned I = 0; I < N; ++I)
-      Out += cInputLiteral(Env.inputValue(SI.Name, SI.Type, I)) + ",";
+      Out += cInputLiteral(Env.inputValue(Input, I)) + ",";
     Out += "};\n";
   }
 
@@ -432,24 +434,24 @@ OracleReport sigc::checkDifferential(const std::string &Name,
   R.ExecutedFlat = ExecFlat.executed();
 
   // Path 3: the slot-resolved VM over the Compilation's nested lowering
-  // (code a).
+  // (code a), one instant per window.
   RandomEnvironment EnvVm(Options.EnvSeed, Options.TickPermille);
   VmExecutor ExecVm(C->Compiled);
-  ExecVm.run(EnvVm, Options.Instants);
+  ExecVm.runBatched(EnvVm, Options.Instants, 1);
   R.GuardTestsVm = ExecVm.guardTests();
   R.ExecutedVm = ExecVm.executed();
 
-  // Path 3b: the same VM batched — stepN windows over the bulk
-  // environment exchange must reproduce the unbatched run bit for bit,
-  // counters included.
+  // Path 3b: the same VM in windows of BatchSize instants must reproduce
+  // path 3 bit for bit, counters included.
+  const unsigned B = Options.BatchSize ? Options.BatchSize : 1;
+  const std::string WindowB = "window " + std::to_string(B);
   RandomEnvironment EnvVmB(Options.EnvSeed, Options.TickPermille);
   VmExecutor ExecVmB(C->Compiled);
-  ExecVmB.runBatched(EnvVmB, Options.Instants,
-                     Options.BatchSize ? Options.BatchSize : 1);
+  ExecVmB.runBatched(EnvVmB, Options.Instants, B);
   if (formatEvents(EnvVmB.outputs()) != formatEvents(EnvVm.outputs())) {
-    TraceDiff BD = compareTraces("step-vm", EnvVm.outputs(), "step-vm-batch",
+    TraceDiff BD = compareTraces("window 1", EnvVm.outputs(), WindowB,
                                  EnvVmB.outputs());
-    R.Error = failure(Name, "batched VM diverges from unbatched",
+    R.Error = failure(Name, "VM at " + WindowB + " diverges from window 1",
                       BD.Equal ? "same events, different order\n" : BD.Report,
                       Source);
     return R;
@@ -457,25 +459,24 @@ OracleReport sigc::checkDifferential(const std::string &Name,
   if (ExecVmB.guardTests() != R.GuardTestsVm ||
       ExecVmB.executed() != R.ExecutedVm) {
     R.Error = failure(
-        Name, "batched VM counters diverge from unbatched",
-        "vm:       guards=" + std::to_string(R.GuardTestsVm) +
-            " executed=" + std::to_string(R.ExecutedVm) +
-            "\nvm-batch: guards=" + std::to_string(ExecVmB.guardTests()) +
+        Name, "VM counters at " + WindowB + " diverge from window 1",
+        "window 1: guards=" + std::to_string(R.GuardTestsVm) +
+            " executed=" + std::to_string(R.ExecutedVm) + "\n" + WindowB +
+            ": guards=" + std::to_string(ExecVmB.guardTests()) +
             " executed=" + std::to_string(ExecVmB.executed()) + "\n",
         Source);
     return R;
   }
 
-  // Path 3t: record -> replay through the trace format. The batched VM
+  // Path 3t: record -> replay through the trace format. The windowed VM
   // run is mirrored into an in-memory trace; replaying that trace as the
-  // environment — at a *different* batch size — must reproduce the
+  // environment — at a *different* window size — must reproduce the
   // events and counters of the live run, the replayed outputs must match
   // the recorded ones, and re-recording the replay through an echo
   // writer with the same frame capacity must reproduce the original
   // recording byte for byte (the writer owns the framing, so recorded
-  // bytes are independent of execution batch size).
+  // bytes are independent of the window size).
   {
-    unsigned B = Options.BatchSize ? Options.BatchSize : 1;
     // A small frame capacity forces several frames even for short runs.
     TraceSpec Spec = TraceSpec::fromStep(C->Compiled, Name, /*FrameInstants=*/8);
     MemorySink Sink;
@@ -566,8 +567,8 @@ OracleReport sigc::checkDifferential(const std::string &Name,
   }
 
   // Path 4: the fleet executor — FleetInstances instances of the same
-  // bytecode as N scalar lanes sharded across threads, batched through
-  // the same stepN windows as 3b. Instance j is seeded EnvSeed+j
+  // bytecode as N scalar lanes sharded across threads, stepped in the
+  // same windows as 3b. Instance j is seeded EnvSeed+j
   // (instance 0 thus replays the scalar legs' inputs); every instance's
   // trace must equal a scalar VM run of that instance alone, and the
   // fleet's counters must be exactly the per-instance sums. Path 6
@@ -669,8 +670,7 @@ OracleReport sigc::checkDifferential(const std::string &Name,
   if (Options.NativeSwap && hostCCompilerAvailable()) {
     ScratchNative Nat(C->Compiled);
     std::string SwapError = Nat.Mod ? std::string() : Nat.Error;
-    unsigned Step = Options.BatchSize ? Options.BatchSize : 1;
-    for (unsigned K = 0; Nat.Mod && K < Options.Instants; K += Step) {
+    for (unsigned K = 0; Nat.Mod && K < Options.Instants; K += B) {
       RandomEnvironment Env(Options.EnvSeed, Options.TickPermille);
       VmExecutor Vm(C->Compiled);
       if (K)
@@ -808,10 +808,6 @@ bool monoToLinkedClockNames(Compilation &Mono, LinkedSystem &Sys,
 /// adapter's trace is comparable on its own.
 class RenamedClockEnvironment : public Environment {
 public:
-  using Environment::clockTick;
-  using Environment::inputValue;
-  using Environment::writeOutput;
-
   RenamedClockEnvironment(Environment &Inner,
                           const std::map<std::string, std::string> &Map)
       : Inner(Inner), Map(Map) {}
@@ -861,8 +857,9 @@ std::string buildLinkedHarness(const LinkedCInterface &CI,
   std::string Out = "\n#include <stdio.h>\n\n";
   for (const auto &T : CI.Ticks) {
     Out += "static const int " + T.Field + "_v[" + std::to_string(N) + "] = {";
+    EnvClockId Clock = Env.resolveClock(T.ClockName);
     for (unsigned I = 0; I < N; ++I)
-      Out += std::string(Env.clockTick(T.ClockName, I) ? "1" : "0") + ",";
+      Out += std::string(Env.clockTick(Clock, I) ? "1" : "0") + ",";
     Out += "};\n";
   }
   for (const auto &V : CI.Inputs) {
@@ -871,8 +868,9 @@ std::string buildLinkedHarness(const LinkedCInterface &CI,
                                                     : "int";
     Out += std::string("static const ") + CType + " in_" + V.Field + "_v[" +
            std::to_string(N) + "] = {";
+    EnvInputId Input = Env.resolveInput(V.SignalName, V.Type);
     for (unsigned I = 0; I < N; ++I)
-      Out += cInputLiteral(Env.inputValue(V.SignalName, V.Type, I)) + ",";
+      Out += cInputLiteral(Env.inputValue(Input, I)) + ",";
     Out += "};\n";
   }
 
@@ -1063,10 +1061,11 @@ OracleReport sigc::checkLinkedDifferential(
     return R;
   }
 
-  // Path 2: the linked system, per-unit step programs wired by channels.
+  // Path 2: the linked system, per-unit step programs wired by channels,
+  // one instant per window.
   RandomEnvironment EnvLinked(Options.EnvSeed, Options.TickPermille);
   LinkedExecutor Linked(Sys);
-  if (!Linked.run(EnvLinked, Options.Instants)) {
+  if (!Linked.runBatched(EnvLinked, Options.Instants, 1)) {
     R.Error = failure(Name, "linked execution stopped", Linked.error() + "\n",
                       AllSources);
     return R;
@@ -1081,20 +1080,21 @@ OracleReport sigc::checkLinkedDifferential(
     return R;
   }
 
-  // Path 2b: the linked system batched per unit — stepN windows must
-  // reproduce the unbatched linked run bit for bit, counters included.
+  // Path 2b: the linked system in windows of BatchSize instants must
+  // reproduce path 2 bit for bit, counters included.
+  const unsigned B = Options.BatchSize ? Options.BatchSize : 1;
+  const std::string WindowB = "window " + std::to_string(B);
   RandomEnvironment EnvLinkedB(Options.EnvSeed, Options.TickPermille);
   LinkedExecutor LinkedB(Sys);
-  if (!LinkedB.runBatched(EnvLinkedB, Options.Instants,
-                          Options.BatchSize ? Options.BatchSize : 1)) {
-    R.Error = failure(Name, "batched linked execution stopped",
+  if (!LinkedB.runBatched(EnvLinkedB, Options.Instants, B)) {
+    R.Error = failure(Name, "linked execution at " + WindowB + " stopped",
                       LinkedB.error() + "\n", AllSources);
     return R;
   }
   if (formatEvents(EnvLinkedB.outputs()) != formatEvents(EnvLinked.outputs())) {
-    TraceDiff BD = compareTraces("linked", EnvLinked.outputs(),
-                                 "linked-batch", EnvLinkedB.outputs());
-    R.Error = failure(Name, "batched linked diverges from unbatched",
+    TraceDiff BD = compareTraces("linked window 1", EnvLinked.outputs(),
+                                 "linked " + WindowB, EnvLinkedB.outputs());
+    R.Error = failure(Name, "linked at " + WindowB + " diverges from window 1",
                       BD.Equal ? "same events, different order\n" : BD.Report,
                       AllSources);
     return R;
@@ -1102,10 +1102,10 @@ OracleReport sigc::checkLinkedDifferential(
   if (LinkedB.guardTests() != Linked.guardTests() ||
       LinkedB.executed() != Linked.executed()) {
     R.Error = failure(
-        Name, "batched linked counters diverge from unbatched",
-        "linked:       guards=" + std::to_string(Linked.guardTests()) +
-            " executed=" + std::to_string(Linked.executed()) +
-            "\nlinked-batch: guards=" + std::to_string(LinkedB.guardTests()) +
+        Name, "linked counters at " + WindowB + " diverge from window 1",
+        "window 1: guards=" + std::to_string(Linked.guardTests()) +
+            " executed=" + std::to_string(Linked.executed()) + "\n" +
+            WindowB + ": guards=" + std::to_string(LinkedB.guardTests()) +
             " executed=" + std::to_string(LinkedB.executed()) + "\n",
         AllSources);
     return R;

@@ -9,8 +9,7 @@
 ///   2. the slot-resolved VM (VmExecutor) over the flat CompiledStep
 ///      layout, one guard per guarded step instruction (Figure 9, code b),
 ///   3. the same VM over the Compilation's nested CompiledStep (code a),
-///      both instant by instant and batched through the bulk
-///      environment exchange (stepN windows),
+///      in windows of one instant and of BatchSize instants,
 ///   4. the FleetExecutor — N instances of the same bytecode run as
 ///      scalar lanes sharded across threads, each instance pinned
 ///      trace- and counter-identical to a scalar VM run,
@@ -52,9 +51,9 @@ struct OracleOptions {
   unsigned Instants = 64;      ///< Reactions to execute.
   uint64_t EnvSeed = 1;        ///< RandomEnvironment seed.
   unsigned TickPermille = 800; ///< Free-clock tick probability.
-  /// Window size of the batched VM/linked legs (stepN); every oracle run
-  /// drives both the unbatched and the batched engine and demands
-  /// identical traces and counters.
+  /// Window size of the windowed VM/linked legs (stepN); every oracle run
+  /// also runs one-instant windows and demands identical traces and
+  /// counters.
   unsigned BatchSize = 8;
   /// Also compile the emitted C with the host C compiler (-std=c99
   /// -Wall -Werror) and compare the subprocess trace and its
@@ -148,8 +147,8 @@ const std::string &hostCCompilerCommand();
 //
 //   1. the monolithic compilation on the slot-VM (itself cross-checked
 //      against the fixpoint interpreter),
-//   2. the LinkedExecutor over the separately compiled units, both
-//      instant by instant and batched per unit (stepN windows),
+//   2. the LinkedExecutor over the separately compiled units, in windows
+//      of one instant and of BatchSize instants,
 //   3. optionally, the linked C emission round-tripped through the host
 //      C compiler, its per-unit counters pinned to the linked VM's,
 //   4. the fleet leg over the fused step, per instance pinned to a

@@ -322,6 +322,26 @@ TEST(Cli, RecordThenReplayRoundTripsFromTheCli) {
   std::remove(Path.c_str());
 }
 
+TEST(Cli, RecordedBytesDoNotDependOnTheWindowSize) {
+  // Every run steps windows and the writer owns the framing, so a
+  // recording without --batch, or with --batch 1, is the --batch 7 one.
+  auto recordBytes = [](const std::string &Batch) {
+    std::string Path = tempTracePath(Batch.empty() ? "win" : "win_batch");
+    CliResult R = runSignalc("--builtin CHRONO --simulate 5000 --seed 3 " +
+                             Batch + " --record " + Path);
+    EXPECT_EQ(R.Exit, 0) << Batch << "\n" << R.Output;
+    std::ifstream In(Path, std::ios::binary);
+    std::string Bytes((std::istreambuf_iterator<char>(In)),
+                      std::istreambuf_iterator<char>());
+    std::remove(Path.c_str());
+    return Bytes;
+  };
+  const std::string Window7 = recordBytes("--batch 7");
+  ASSERT_FALSE(Window7.empty());
+  EXPECT_TRUE(recordBytes("") == Window7) << "no --batch";
+  EXPECT_TRUE(recordBytes("--batch 1") == Window7) << "--batch 1";
+}
+
 TEST(Cli, ReplayOfGarbageIsAPositionedExitTwo) {
   std::string Path = tempTracePath("garbage");
   FILE *F = fopen(Path.c_str(), "wb");

@@ -22,10 +22,6 @@ namespace {
 /// tests can see exactly how the bulk defaults delegate.
 class PerInstantEnv : public Environment {
 public:
-  using Environment::clockTick;
-  using Environment::inputValue;
-  using Environment::writeOutput;
-
   bool clockTick(EnvClockId Clock, unsigned Instant) override {
     ++TickCalls;
     // Clock 0 ticks on even instants, clock 1 on multiples of 3.

@@ -361,19 +361,26 @@ TEST(StepExecutor, ResetRestoresInitialState) {
 }
 
 TEST(Environment, RandomIsQueryOrderIndependent) {
+  // Opposite binding and query orders on the two environments.
   RandomEnvironment E1(9), E2(9);
-  Value A1 = E1.inputValue("X", TypeKind::Integer, 3);
-  Value B1 = E1.inputValue("Y", TypeKind::Integer, 3);
-  Value B2 = E2.inputValue("Y", TypeKind::Integer, 3);
-  Value A2 = E2.inputValue("X", TypeKind::Integer, 3);
+  EnvInputId X1 = E1.resolveInput("X", TypeKind::Integer);
+  EnvInputId Y1 = E1.resolveInput("Y", TypeKind::Integer);
+  EnvInputId Y2 = E2.resolveInput("Y", TypeKind::Integer);
+  EnvInputId X2 = E2.resolveInput("X", TypeKind::Integer);
+  Value A1 = E1.inputValue(X1, 3);
+  Value B1 = E1.inputValue(Y1, 3);
+  Value B2 = E2.inputValue(Y2, 3);
+  Value A2 = E2.inputValue(X2, 3);
   EXPECT_EQ(A1, A2);
   EXPECT_EQ(B1, B2);
 }
 
 TEST(Environment, ScriptedDefaults) {
   ScriptedEnvironment E;
-  EXPECT_FALSE(E.clockTick("^X", 0));
+  EnvClockId X = E.resolveClock("^X");
+  EXPECT_FALSE(E.clockTick(X, 0));
   E.tickAlways();
-  EXPECT_TRUE(E.clockTick("^X", 0));
-  EXPECT_EQ(E.inputValue("A", TypeKind::Integer, 0), Value::makeInt(0));
+  EXPECT_TRUE(E.clockTick(X, 0));
+  EXPECT_EQ(E.inputValue(E.resolveInput("A", TypeKind::Integer), 0),
+            Value::makeInt(0));
 }

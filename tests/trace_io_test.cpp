@@ -18,6 +18,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "interp/KernelInterp.h"
 #include "interp/VmExecutor.h"
 #include "io/TraceEnvironment.h"
 #include "io/TraceReader.h"
@@ -50,8 +51,8 @@ struct Recording {
 };
 
 /// Records \p Instants instants of \p C under a seeded random environment
-/// into an in-memory trace. \p Batch 0 runs unbatched (per-instant
-/// queries only); otherwise the run is stepN-batched.
+/// into an in-memory trace. \p Batch 0 runs VmExecutor::run (its default
+/// window); otherwise the run steps windows of \p Batch instants.
 Recording record(const Compilation &C, unsigned Instants, unsigned FrameCap,
                  unsigned Batch, uint64_t Seed = 11) {
   Recording R;
@@ -195,14 +196,31 @@ TEST(TraceRoundTrip, RecordedBytesAreIndependentOfBatchSize) {
 }
 
 TEST(TraceRoundTrip, UnbatchedRunStillReplaysCorrectly) {
-  // A run that never batches records via the per-instant overrides only
-  // (absent input instants stay at their defaults); the trace still
-  // verifies and replays to the same events.
+  // A run with no window size given (VmExecutor::run) records the same
+  // bytes as any windowed run; the trace verifies and replays to the
+  // same events.
   auto C = compileMixed();
   Recording R = record(*C, 30, 8, 0);
+  EXPECT_EQ(R.Bytes, record(*C, 30, 8, 13).Bytes);
   MemoryTraceSource Src(R.Bytes);
   std::vector<OutputEvent> Replayed = replayVerified(*C, Src);
   EXPECT_EQ(Replayed, R.Events);
+}
+
+TEST(TraceRoundTrip, RunRecordingFlushesFramesBeforeFinish) {
+  // run() exchanges fixed windows, so full frames reach the sink while
+  // the run goes on instead of piling up until finish().
+  auto C = compileMixed();
+  MemorySink Sink;
+  TraceWriter W(Sink, TraceSpec::fromStep(C->Compiled, "P", 8));
+  RandomEnvironment Rnd(11);
+  RecordingEnvironment Rec(Rnd, W);
+  VmExecutor Vm(C->Compiled);
+  Vm.run(Rec, 64);
+  size_t BeforeFinish = Sink.bytes().size();
+  ASSERT_TRUE(W.finish(64));
+  EXPECT_GT(BeforeFinish, headerLen(Sink.bytes()))
+      << "a recording driven by run() held every frame until finish()";
 }
 
 TEST(TraceRoundTrip, VerifiedReplayEchoesByteIdenticalTrace) {
@@ -238,11 +256,11 @@ TEST(TraceRoundTrip, VerifiedReplayEchoesByteIdenticalTrace) {
 }
 
 TEST(TraceRoundTrip, PerInstantReplayEchoesAUsableStream) {
-  // A replay driven by the per-instant executor (scalar clockTick /
-  // inputValue / writeOutput, never the bulk exchange) must still mirror
-  // what it serves into the echo writer: replaying the echoed stream
-  // reproduces the original events. Regression for an echo that only
-  // hooked the bulk paths and emitted an empty stimulus stream.
+  // A replay driven by a per-instant client (KernelInterp: scalar
+  // clockTick / inputValue / writeOutput, never the bulk exchange) must
+  // still mirror what it serves into the echo writer: replaying the
+  // echoed stream reproduces the original events. Regression for an echo
+  // that only hooked the bulk paths and emitted an empty stimulus stream.
   auto C = compileMixed();
   Recording R = record(*C, 24, 8, 8);
 
@@ -256,8 +274,8 @@ TEST(TraceRoundTrip, PerInstantReplayEchoesAUsableStream) {
   Env.setVerifyOutputs(true);
   Env.setEcho(&Echo);
   ASSERT_EQ(Env.prepare(0, 24), 24u) << Env.error().str();
-  VmExecutor Vm(C->Compiled);
-  Vm.run(Env, 24); // Per-instant queries only.
+  KernelInterp Ref(*C->Kernel, C->Clocks, *C->Forest, C->names());
+  ASSERT_TRUE(Ref.run(Env, 24)); // Per-instant queries only.
   EXPECT_EQ(Env.divergence(), "");
   EXPECT_EQ(Env.outputCount(), R.Events.size());
   ASSERT_TRUE(Echo.finish(24));

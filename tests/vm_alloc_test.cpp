@@ -200,6 +200,27 @@ TEST(VmAllocation, FleetSweepIsZeroAllocInSteadyState) {
   EXPECT_GT(Events, 0u) << "the run must actually produce outputs";
 }
 
+TEST(VmAllocation, FleetRunWindowsDoNotGrowWithTheRunLength) {
+  // run() steps fixed windows, so a long run needs no more buffer than a
+  // short one: after a warm 64-instant run, a 4,096-instant run
+  // allocates nothing (a run that was one window would reserve buffers
+  // for all 4,096 instants).
+  ProgramShape Shape;
+  Shape.DividerStages = 24;
+  auto C = compileOk(generateProgram("CHAIN", Shape));
+  std::vector<std::unique_ptr<DiscardEnvironment>> Owned;
+  std::vector<Environment *> Envs;
+  for (unsigned J = 0; J < 3; ++J) {
+    Owned.push_back(std::make_unique<DiscardEnvironment>(7 + J, 800));
+    Envs.push_back(Owned.back().get());
+  }
+  FleetExecutor Exec(C->Compiled, 3);
+  Exec.run(Envs, 64);
+  EXPECT_EQ(allocsDuring([&] { Exec.run(Envs, 4096); }), 0u)
+      << "FleetExecutor::run sized its buffers by the run length";
+  EXPECT_GT(Owned[0]->Events, 0u) << "the run must actually produce outputs";
+}
+
 TEST(VmAllocation, NativeFleetLanesAreZeroAllocInSteadyState) {
   // Same windows with the lanes on the native tier: the per-lane state
   // exchange and the shard's native batch buffers are reused too.

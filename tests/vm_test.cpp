@@ -216,21 +216,28 @@ TEST(VmExecutor, RebindsWhenEnvironmentChanges) {
 }
 
 //===----------------------------------------------------------------------===//
-// Instant batching: stepN must be invisible next to step().
+// Windows: how a run is cut into stepN windows must be invisible.
 //===----------------------------------------------------------------------===//
 
 TEST(VmExecutor, BatchedMatchesSteppedOnBuiltinSuite) {
   // Exact event-sequence identity (not just canonical-trace identity):
-  // the batched flush replays outputs in the unbatched order, so the raw
-  // recorded vectors must be equal, at every batch/instant phase.
-  const unsigned Instants = 53; // deliberately no multiple of any batch
+  // a window flushes its outputs instant by instant in write order, so
+  // the raw recorded vectors must be equal for every window size and
+  // phase, and equal to the reference interpreter's canonical trace.
+  const unsigned Instants = 53; // deliberately no multiple of any window
   for (const Figure13Program &P : figure13Suite()) {
     auto C = compileSource("<vmbatch:" + P.Name + ">", P.Source);
     ASSERT_TRUE(C->Ok) << P.Name;
+    RandomEnvironment EnvRef(23);
+    KernelInterp Ref(*C->Kernel, C->Clocks, *C->Forest, C->names());
+    ASSERT_TRUE(Ref.run(EnvRef, Instants)) << P.Name;
     RandomEnvironment EnvStep(23);
     VmExecutor Stepped(C->Compiled);
-    Stepped.run(EnvStep, Instants);
-    for (unsigned Batch : {1u, 2u, 7u, 64u}) {
+    Stepped.runBatched(EnvStep, Instants, 1);
+    EXPECT_EQ(formatEvents(canonicalTrace(EnvStep.outputs())),
+              formatEvents(canonicalTrace(EnvRef.outputs())))
+        << P.Name;
+    for (unsigned Batch : {2u, 7u, 64u}) {
       RandomEnvironment EnvBatch(23);
       VmExecutor Batched(C->Compiled);
       Batched.runBatched(EnvBatch, Instants, Batch);
@@ -247,27 +254,34 @@ TEST(VmExecutor, BatchedMatchesSteppedOnBuiltinSuite) {
 
 TEST(VmExecutor, BatchedDelayStateCarriesAcrossWindows) {
   // A delay chain is where a windowing bug (state reset or instant
-  // mis-tagging between batches) shows first.
+  // mis-tagging between windows) shows first.
   auto C = compileOk(proc("? integer A; ! integer Y;",
                           "   Y := A + (Y $ 1 init 0)"));
-  RandomEnvironment E1(5, 1000), E2(5, 1000);
+  RandomEnvironment ERef(5, 1000), E1(5, 1000), E2(5, 1000);
+  KernelInterp Ref(*C->Kernel, C->Clocks, *C->Forest, C->names());
+  ASSERT_TRUE(Ref.run(ERef, 20));
   VmExecutor Stepped(C->Compiled), Batched(C->Compiled);
-  Stepped.run(E1, 20);
+  Stepped.runBatched(E1, 20, 1);
   Batched.runBatched(E2, 20, 7);
+  EXPECT_EQ(formatEvents(E1.outputs()), formatEvents(ERef.outputs()));
   EXPECT_EQ(formatEvents(E2.outputs()), formatEvents(E1.outputs()));
 }
 
 TEST(VmExecutor, BatchedOutputOrderWithinInstantIsUnbatchedOrder) {
   auto C = compileOk(proc("? integer A; ! integer DBL, SQR;",
                           "   DBL := A * 2\n   | SQR := A * A"));
-  RandomEnvironment E1(9, 1000), E2(9, 1000);
+  RandomEnvironment ERef(9, 1000), E1(9, 1000), E2(9, 1000);
+  KernelInterp Ref(*C->Kernel, C->Clocks, *C->Forest, C->names());
+  ASSERT_TRUE(Ref.run(ERef, 6));
   VmExecutor Stepped(C->Compiled), Batched(C->Compiled);
-  Stepped.run(E1, 6);
+  Stepped.runBatched(E1, 6, 1);
   Batched.stepN(E2, 0, 6);
-  // Raw sequences equal — per instant, DBL before SQR on both paths.
+  // Raw sequences equal: per instant, DBL before SQR in every window.
   ASSERT_EQ(E1.outputs().size(), E2.outputs().size());
   for (size_t I = 0; I < E1.outputs().size(); ++I)
     EXPECT_TRUE(E1.outputs()[I] == E2.outputs()[I]) << I;
+  EXPECT_EQ(formatEvents(canonicalTrace(E1.outputs())),
+            formatEvents(canonicalTrace(ERef.outputs())));
 }
 
 //===----------------------------------------------------------------------===//
@@ -302,51 +316,15 @@ TEST(VmExecutor, GuardWorkNeverRegressesToFlatLevel) {
 }
 
 //===----------------------------------------------------------------------===//
-// Dispatch strategy: computed goto must be execution-invisible.
+// Block weights: Executed is counted per block, exactly.
 //===----------------------------------------------------------------------===//
 
-TEST(VmDispatch, GotoMatchesSwitchOnBuiltinSuite) {
-  // Identical raw event sequences AND counters across dispatchers, on
-  // both the stepped and the batched path — the direct-threaded loop is
-  // a branch-structure change only.
-  for (const Figure13Program &P : figure13Suite()) {
-    auto C = compileSource("<vmdispatch:" + P.Name + ">", P.Source);
-    ASSERT_TRUE(C->Ok) << P.Name;
-    RandomEnvironment EnvSwitch(31), EnvGoto(31);
-    VmExecutor Sw(C->Compiled), Go(C->Compiled);
-    Sw.setDispatch(VmDispatch::Switch);
-    Go.setDispatch(VmDispatch::Goto);
-    ASSERT_EQ(Sw.dispatch(), VmDispatch::Switch);
-    if (VmExecutor::computedGotoAvailable()) {
-      ASSERT_EQ(Go.dispatch(), VmDispatch::Goto) << P.Name;
-    }
-    Sw.run(EnvSwitch, 48);
-    Go.run(EnvGoto, 48);
-    EXPECT_EQ(formatEvents(EnvGoto.outputs()), formatEvents(EnvSwitch.outputs()))
-        << P.Name;
-    EXPECT_EQ(Go.guardTests(), Sw.guardTests()) << P.Name;
-    EXPECT_EQ(Go.executed(), Sw.executed()) << P.Name;
-
-    RandomEnvironment BatchSwitch(31), BatchGoto(31);
-    VmExecutor BSw(C->Compiled), BGo(C->Compiled);
-    BSw.setDispatch(VmDispatch::Switch);
-    BGo.setDispatch(VmDispatch::Goto);
-    BSw.runBatched(BatchSwitch, 48, 7);
-    BGo.runBatched(BatchGoto, 48, 7);
-    EXPECT_EQ(formatEvents(BatchGoto.outputs()),
-              formatEvents(BatchSwitch.outputs()))
-        << P.Name << " (batched)";
-    EXPECT_EQ(BGo.guardTests(), BSw.guardTests()) << P.Name;
-  }
-}
-
-TEST(VmDispatch, BlockWeightsCountExactlyOnEveryBuiltin) {
+TEST(VmExecutor, BlockWeightsCountExactlyOnEveryBuiltin) {
   // The typed VM adds Executed once per block (each Skip carries its
   // block's summed weight) plus a root weight per instant. The flat
   // layout guards every step instruction on its own, so its count is
   // per instruction; the nested block sums must land on it exactly,
-  // under both dispatchers, with traces equal to the reference
-  // interpreter's.
+  // with traces equal to the reference interpreter's.
   std::vector<std::pair<std::string, std::string>> Programs = {
       {"FIG5_ALARM", alarmFigure5Source()}};
   for (const Figure13Program &P : figure13Suite())
@@ -362,37 +340,19 @@ TEST(VmDispatch, BlockWeightsCountExactlyOnEveryBuiltin) {
     const std::string RefTrace =
         formatEvents(canonicalTrace(EnvRef.outputs()));
     CompiledStep FlatCS = buildFlat(*C), NestedCS = buildVm(*C);
-    for (VmDispatch D : {VmDispatch::Switch, VmDispatch::Goto}) {
-      uint64_t FlatExecuted = 0;
-      for (const CompiledStep *CS : {&FlatCS, &NestedCS}) {
-        const char *Layout = CS == &FlatCS ? "flat" : "nested";
-        RandomEnvironment Env(23);
-        VmExecutor X(*CS);
-        X.setDispatch(D);
-        X.runBatched(Env, Instants, 5);
-        EXPECT_EQ(formatEvents(canonicalTrace(Env.outputs())), RefTrace)
-            << Name << " " << Layout;
-        if (CS == &FlatCS)
-          FlatExecuted = X.executed();
-        else
-          EXPECT_EQ(X.executed(), FlatExecuted) << Name;
-        EXPECT_GT(X.executed(), 0u) << Name << " " << Layout;
-      }
+    uint64_t FlatExecuted = 0;
+    for (const CompiledStep *CS : {&FlatCS, &NestedCS}) {
+      const char *Layout = CS == &FlatCS ? "flat" : "nested";
+      RandomEnvironment Env(23);
+      VmExecutor X(*CS);
+      X.runBatched(Env, Instants, 5);
+      EXPECT_EQ(formatEvents(canonicalTrace(Env.outputs())), RefTrace)
+          << Name << " " << Layout;
+      if (CS == &FlatCS)
+        FlatExecuted = X.executed();
+      else
+        EXPECT_EQ(X.executed(), FlatExecuted) << Name;
+      EXPECT_GT(X.executed(), 0u) << Name << " " << Layout;
     }
   }
-}
-
-TEST(VmDispatch, SwitchOverrideSurvivesResetAndRebind) {
-  auto C = compileOk(proc("? integer A; ! integer Y;",
-                          "   Y := A + (Y $ 1 init 0)"));
-  VmExecutor Exec(C->Compiled);
-  Exec.setDispatch(VmDispatch::Switch);
-  RandomEnvironment E1(7, 1000);
-  Exec.run(E1, 8);
-  Exec.reset();
-  EXPECT_EQ(Exec.dispatch(), VmDispatch::Switch)
-      << "reset() must not reconsider the dispatch choice";
-  RandomEnvironment E2(7, 1000);
-  Exec.run(E2, 8);
-  EXPECT_EQ(formatEvents(E2.outputs()), formatEvents(E1.outputs()));
 }
